@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator itself: raw
  * machine-cycle throughput in several regimes, histogram analysis
- * cost, workload generation cost, and the five-workload composite in
- * both serial and SimPool-parallel form.
+ * cost, workload generation cost, checkpoint serialization cost, and
+ * the five-workload composite in both serial and SimPool-parallel
+ * form.
  *
  * Usage: simspeed [--jobs N] [google-benchmark flags]
  *   --jobs (or UPC780_JOBS) sets the pool worker count for the
@@ -25,6 +26,7 @@
 #include "driver/sim_pool.hh"
 #include "ucode/rom.hh"
 #include "cpu/cpu.hh"
+#include "support/snapshot.hh"
 #include "upc/analyzer.hh"
 #include "upc/monitor.hh"
 #include "workload/codegen.hh"
@@ -174,6 +176,28 @@ BM_CodeGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CodeGeneration);
+
+/**
+ * One checkpoint serialization (Experiment::save + finish, no file
+ * I/O) of the commercial workload booted and run to 100k cycles, the
+ * state a campaign shard checkpoints: RLE over the 8 MB physical
+ * memory image plus every section CRC.  Scored on real time, so a
+ * serializer regression shows up in the perf gate.
+ */
+void
+BM_CheckpointSave(benchmark::State &state)
+{
+    SimJob job = SimJob::forProfile(commercialProfile(), 400'000);
+    Experiment exp(job.profile, job.cycles, job.sim, job.vms);
+    exp.runChunk(100'000);
+    for (auto _ : state) {
+        snap::Serializer s;
+        exp.save(s);
+        std::vector<uint8_t> image = s.finish();
+        benchmark::DoNotOptimize(image.data());
+    }
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /**
  * The populated histogram that BM_HistogramAnalysis chews on.  Built

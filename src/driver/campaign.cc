@@ -713,7 +713,11 @@ campaignJobs(const CampaignConfig &cfg)
         for (const auto &prof : allProfiles()) {
             WorkloadProfile p = prof;
             if (r) {
-                p.name += "#" + std::to_string(r);
+                // Appended in two steps: "#" + std::to_string(r)
+                // trips GCC 12's -Wrestrict false positive in
+                // std::string::insert (GCC bug 105651).
+                p.name += '#';
+                p.name += std::to_string(r);
                 // A fixed odd stride keeps replica seeds distinct and
                 // reproducible from the manifest alone.
                 p.seed += 7919ull * r;

@@ -429,11 +429,13 @@ File::closeQuiet()
 Status
 syncParentDir(const std::string &path)
 {
+    // "a/b" -> "a", "/b" -> "/", "b" -> ".".  Built in one
+    // expression: assigning "/" afterwards trips GCC 12's -Wrestrict
+    // false positive in std::string::_M_replace (GCC bug 105329).
     size_t slash = path.rfind('/');
-    std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash);
-    if (dir.empty())
-        dir = "/";
+    std::string dir = slash == std::string::npos
+                          ? std::string(".")
+                          : path.substr(0, slash == 0 ? 1 : slash);
     if (consult(OpClass::Fsync, dir) == FaultKind::FsyncFail)
         return failStatus(EIO, "dirsync");
     int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);

@@ -1,5 +1,8 @@
 #include "support/snapshot.hh"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -40,26 +43,129 @@ failAt(const char *file, int line, const char *fmt, ...)
 
 #define SNAP_FAIL(...) failAt(__FILE__, __LINE__, __VA_ARGS__)
 
+/** Size of the last image finished on this thread (capacity hint for
+ *  the next Serializer; per thread, so pool workers never share it). */
+thread_local size_t lastImageSize = 0;
+
+/** Minimum buffer capacity: every small image fits unmoved. */
+constexpr size_t initialCapacity = 64 * 1024;
+
+/** Slice-by-8 tables: crcTables[0] is the bytewise CRC table, and
+ *  crcTables[k][b] is the CRC of byte b followed by k zero bytes, so
+ *  eight table lookups fold a whole 8-byte word into the CRC.  Built
+ *  at compile time: concurrent first saves share no mutable state. */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    return t;
+}
+
+constexpr CrcTables crcTables = makeCrcTables();
+
+uint32_t
+loadLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
+
+/** Eight bytes as a word whose least significant byte is p[0], so
+ *  ctz/8 of a per-byte flag mask is the first flagged byte's index. */
+uint64_t
+loadLe64(const uint8_t *p)
+{
+    uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    if constexpr (std::endian::native == std::endian::big)
+        w = __builtin_bswap64(w);
+    return w;
+}
+
+/** End of the zero run starting at i: the first nonzero byte at or
+ *  after i, or len. */
+size_t
+zeroRunEnd(const uint8_t *p, size_t i, size_t len)
+{
+    for (; i + 8 <= len; i += 8) {
+        uint64_t w = loadLe64(p + i);
+        if (w != 0)
+            return i + std::countr_zero(w) / 8;
+    }
+    while (i < len && p[i] == 0)
+        ++i;
+    return i;
+}
+
+/**
+ * End of the literal run starting at the nonzero byte z: the start of
+ * the first zero gap that is at least 16 bytes long or reaches the
+ * end of the image (len if there is none).  *gapEnd receives the
+ * gap's end, the first nonzero byte after it (or len).
+ *
+ * A gap of 16 or more zero bytes covers a whole word on any 8-byte
+ * grid, so the scan steps a word at a time and only an all-zero word
+ * needs a closer look (the gap around it is measured, and skipped if
+ * short).  A gap reaching len with no whole zero word in it lies in
+ * the final partial word and is found by scanning back from len.
+ */
+size_t
+literalRunEnd(const uint8_t *p, size_t z, size_t len, size_t *gapEnd)
+{
+    size_t i = z;
+    while (i + 8 <= len) {
+        if (loadLe64(p + i) != 0) {
+            i += 8;
+            continue;
+        }
+        size_t start = i;
+        while (start > z && p[start - 1] == 0)
+            --start;
+        size_t end = zeroRunEnd(p, i + 8, len);
+        if (end - start >= 16 || end == len) {
+            *gapEnd = end;
+            return start;
+        }
+        i = end;
+    }
+    size_t start = len;
+    while (start > z && p[start - 1] == 0)
+        --start;
+    *gapEnd = len;
+    return start;
+}
+
 } // anonymous namespace
 
 uint32_t
 crc32(const void *data, size_t len)
 {
-    static uint32_t table[256];
-    static bool built = false;
-    if (!built) {
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
-        }
-        built = true;
-    }
+    const CrcTables &t = crcTables;
     uint32_t c = 0xFFFFFFFFu;
     const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        uint32_t lo = c ^ loadLe32(p);
+        uint32_t hi = loadLe32(p + 4);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+            t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len)
+        c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -67,14 +173,15 @@ crc32(const void *data, size_t len)
 
 Serializer::Serializer()
 {
+    // Start with room for the image this thread finished last: the
+    // checkpoints of one run are all about the same size, so a save
+    // fills one buffer instead of growing through a dozen copies of
+    // everything written so far.  Nothing reserves the 8 MB memory
+    // image itself, most of which RLE-encodes away.
+    buf_.reserve(
+        std::max(initialCapacity, lastImageSize + lastImageSize / 8));
     raw(magic, sizeof(magic));
-    uint8_t v[4] = {
-        static_cast<uint8_t>(formatVersion),
-        static_cast<uint8_t>(formatVersion >> 8),
-        static_cast<uint8_t>(formatVersion >> 16),
-        static_cast<uint8_t>(formatVersion >> 24),
-    };
-    raw(v, 4);
+    rawLe(formatVersion, 4);
 }
 
 void
@@ -85,19 +192,23 @@ Serializer::raw(const void *data, size_t len)
 }
 
 void
+Serializer::rawLe(uint64_t v, size_t n)
+{
+    size_t at = buf_.size();
+    buf_.resize(at + n);
+    uint8_t *p = buf_.data() + at;
+    for (size_t i = 0; i < n; ++i)
+        p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void
 Serializer::beginSection(const std::string &name)
 {
     upc_assert(!inSection_ && !finished_);
-    uint32_t n = static_cast<uint32_t>(name.size());
-    uint8_t hdr[4] = {
-        static_cast<uint8_t>(n), static_cast<uint8_t>(n >> 8),
-        static_cast<uint8_t>(n >> 16), static_cast<uint8_t>(n >> 24),
-    };
-    raw(hdr, 4);
+    rawLe(name.size(), 4);
     raw(name.data(), name.size());
     // Payload length placeholder, patched by endSection().
-    uint8_t zero[8] = {};
-    raw(zero, 8);
+    rawLe(0, 8);
     sectionStart_ = buf_.size();
     inSection_ = true;
     ++sectionCount_;
@@ -112,50 +223,36 @@ Serializer::endSection()
         buf_[sectionStart_ - 8 + i] =
             static_cast<uint8_t>(len >> (8 * i));
     uint32_t crc = crc32(buf_.data() + sectionStart_, len);
-    uint8_t c[4] = {
-        static_cast<uint8_t>(crc), static_cast<uint8_t>(crc >> 8),
-        static_cast<uint8_t>(crc >> 16),
-        static_cast<uint8_t>(crc >> 24),
-    };
     inSection_ = false;
-    raw(c, 4);
+    rawLe(crc, 4);
 }
 
 void
 Serializer::putU8(uint8_t v)
 {
     upc_assert(inSection_);
-    raw(&v, 1);
+    rawLe(v, 1);
 }
 
 void
 Serializer::putU16(uint16_t v)
 {
-    uint8_t b[2] = {static_cast<uint8_t>(v),
-                    static_cast<uint8_t>(v >> 8)};
     upc_assert(inSection_);
-    raw(b, 2);
+    rawLe(v, 2);
 }
 
 void
 Serializer::putU32(uint32_t v)
 {
-    uint8_t b[4] = {
-        static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8),
-        static_cast<uint8_t>(v >> 16), static_cast<uint8_t>(v >> 24),
-    };
     upc_assert(inSection_);
-    raw(b, 4);
+    rawLe(v, 4);
 }
 
 void
 Serializer::putU64(uint64_t v)
 {
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<uint8_t>(v >> (8 * i));
     upc_assert(inSection_);
-    raw(b, 8);
+    rawLe(v, 8);
 }
 
 void
@@ -171,7 +268,6 @@ void
 Serializer::putString(const std::string &s)
 {
     putU64(s.size());
-    upc_assert(inSection_);
     raw(s.data(), s.size());
 }
 
@@ -179,7 +275,6 @@ void
 Serializer::putBytes(const void *data, size_t len)
 {
     putU64(len);
-    upc_assert(inSection_);
     raw(data, len);
 }
 
@@ -187,31 +282,20 @@ void
 Serializer::putBytesRle(const void *data, size_t len)
 {
     // Pairs of (zero run, literal run) covering the image in order.
+    // A literal run ends only at a worthwhile zero gap (>= 16 bytes)
+    // or at the end of the image, so short zero stretches don't
+    // fragment the encoding.
     putU64(len);
     const uint8_t *p = static_cast<const uint8_t *>(data);
     size_t i = 0;
+    size_t z = zeroRunEnd(p, 0, len);
     while (i < len) {
-        size_t z = i;
-        while (z < len && p[z] == 0)
-            ++z;
-        size_t l = z;
-        // A literal run ends at a worthwhile zero gap (>= 16 bytes),
-        // so short zero stretches don't fragment the encoding.
-        while (l < len) {
-            if (p[l] != 0) {
-                ++l;
-                continue;
-            }
-            size_t zz = l;
-            while (zz < len && p[zz] == 0)
-                ++zz;
-            if (zz - l >= 16 || zz == len)
-                break;
-            l = zz;
-        }
+        size_t gapEnd;
+        size_t l = literalRunEnd(p, z, len, &gapEnd);
         putU64(z - i);                  // zero run
         putBytes(p + z, l - z);         // literal run
         i = l;
+        z = gapEnd;
     }
 }
 
@@ -231,13 +315,10 @@ std::vector<uint8_t>
 Serializer::finish()
 {
     upc_assert(!inSection_ && !finished_);
-    uint8_t t[4] = {0xFF, 0xFF, 0xFF, 0xFF};
-    raw(t, 4);
-    uint8_t n[8];
-    for (int i = 0; i < 8; ++i)
-        n[i] = static_cast<uint8_t>(sectionCount_ >> (8 * i));
-    raw(n, 8);
+    rawLe(trailerSentinel, 4);
+    rawLe(sectionCount_, 8);
     finished_ = true;
+    lastImageSize = buf_.size();
     return std::move(buf_);
 }
 

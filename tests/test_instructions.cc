@@ -26,6 +26,15 @@ struct ModeCase
     void (*build)(Assembler &);
 };
 
+// gtest would otherwise print the raw bytes of the case (two pointers)
+// in --gtest_list_tests, which puts load addresses into the test names
+// that gtest_discover_tests registers with ctest.
+void
+PrintTo(const ModeCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class AddressingModeTest : public ::testing::TestWithParam<ModeCase>
 {
 };
@@ -135,6 +144,12 @@ struct AluCase
     uint8_t opcode;
     uint32_t src, dst, expect;
 };
+
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class AluInstrTest : public ::testing::TestWithParam<AluCase>
 {

@@ -72,8 +72,11 @@ int
 runTool(const std::string &args, const std::string &log = "")
 {
     std::string sink = log.empty() ? "/dev/null" : log;
-    std::string cmd = "'" + campaignBin() + "' " + args + " > '" +
-        sink + "' 2>&1";
+    // Appended, not "'" + campaignBin(): prepending to a temporary
+    // trips GCC 12's -Wrestrict false positive (GCC bug 105651).
+    std::string cmd = "'";
+    cmd += campaignBin();
+    cmd += "' " + args + " > '" + sink + "' 2>&1";
     return std::system(cmd.c_str());
 }
 
