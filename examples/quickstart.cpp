@@ -25,26 +25,28 @@ main()
     cpu.mem().setMapEnable(false); // flat physical addressing
 
     // 2. Assemble a program: sum an array, then a string move.
+    //    Labels are ids; forward references are bound later.
     Assembler a(0x1000);
-    a.instr(op::MOVAB, {Op::rel("array"), Op::reg(R2)});
+    Label array = a.newLabel(), loop = a.newLabel();
+    Label src = a.newLabel(), dst = a.newLabel();
+    a.instr(op::MOVAB, {Op::rel(array), Op::reg(R2)});
     a.instr(op::CLRL, {Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(16), Op::reg(R3)});
-    a.label("loop");
+    a.bind(loop);
     a.instr(op::ADDL2, {Op::autoInc(R2), Op::reg(R1)});
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("loop")});
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(loop)});
     // MOVC3 clobbers R0-R5 (it leaves the string pointers there),
     // so park the sum in R6 first.
     a.instr(op::MOVL, {Op::reg(R1), Op::reg(R6)});
-    a.instr(op::MOVC3,
-            {Op::imm(16), Op::rel("src"), Op::rel("dst")});
+    a.instr(op::MOVC3, {Op::imm(16), Op::rel(src), Op::rel(dst)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("array");
+    a.bind(array);
     for (uint32_t i = 1; i <= 16; ++i)
         a.lword(i);
-    a.label("src");
+    a.bind(src);
     a.ascii("hello, VAX-11!!!");
-    a.label("dst");
+    a.bind(dst);
     a.space(16);
 
     cpu.mem().phys().load(a.base(), a.finish());

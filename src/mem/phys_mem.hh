@@ -22,14 +22,21 @@ namespace snap { class Serializer; class Deserializer; }
  *
  * With a write-through cache, memory is always current, so the cache
  * model can be tag-only and all data comes from here.
+ *
+ * The store is an anonymous private mapping: the kernel hands out
+ * zero pages on first touch, so building a machine never writes the
+ * pages the guest leaves untouched, and they never become resident.
  */
 class PhysicalMemory
 {
   public:
     explicit PhysicalMemory(uint32_t size_bytes);
+    ~PhysicalMemory();
+    PhysicalMemory(const PhysicalMemory &) = delete;
+    PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
     /** Total size in bytes. */
-    uint32_t size() const { return static_cast<uint32_t>(data_.size()); }
+    uint32_t size() const { return size_; }
 
     /** @{ Little-endian accessors; out-of-range addresses panic.
      *  The reads are inline: every instruction-buffer fill and data
@@ -38,7 +45,7 @@ class PhysicalMemory
     uint8_t
     readByte(PhysAddr pa) const
     {
-        upc_assert(pa < data_.size());
+        upc_assert(pa < size_);
         return data_[pa];
     }
 
@@ -46,7 +53,7 @@ class PhysicalMemory
     read(PhysAddr pa, unsigned bytes) const
     {
         upc_assert(bytes >= 1 && bytes <= 4);
-        upc_assert(static_cast<uint64_t>(pa) + bytes <= data_.size());
+        upc_assert(static_cast<uint64_t>(pa) + bytes <= size_);
         uint32_t v = 0;
         for (unsigned i = 0; i < bytes; ++i)
             v |= static_cast<uint32_t>(data_[pa + i]) << (8 * i);
@@ -67,7 +74,8 @@ class PhysicalMemory
     /** @} */
 
   private:
-    std::vector<uint8_t> data_;
+    uint8_t *data_ = nullptr;
+    uint32_t size_;
 };
 
 } // namespace vax

@@ -40,7 +40,7 @@ VmsLite::VmsLite(Cpu780 &cpu, UpcMonitor &monitor, const VmsConfig &cfg)
 }
 
 void
-VmsLite::addProcess(const UserProgram &prog)
+VmsLite::addProcess(UserProgram prog)
 {
     upc_assert(!booted_);
     if (prog.image.size() >
@@ -48,7 +48,18 @@ VmsLite::addProcess(const UserProgram &prog)
         fatal("process image (%zu bytes) exceeds its P0 region",
               prog.image.size());
     }
-    programs_.push_back(prog);
+    unsigned p = numProcesses();
+    PhysAddr image = processImagePa(p);
+    if (static_cast<uint64_t>(image) + cfg_.userP0Pages * pageBytes >
+        cpu_.mem().config().memBytes) {
+        fatal("VMS-lite: %u processes do not fit in physical memory",
+              p + 1);
+    }
+    // The arena layout is fixed, so the image goes straight to its P0
+    // pages now.  Its buffer is freed on return, and the next program
+    // generated on this thread reuses the same, already-touched pages.
+    cpu_.mem().phys().load(image, prog.image);
+    processes_.push_back({prog.entry, prog.terminalId});
 }
 
 void
@@ -125,7 +136,7 @@ VmsLite::boot()
 {
     upc_assert(!booted_);
     booted_ = true;
-    if (programs_.empty())
+    if (processes_.empty())
         fatal("VMS-lite: no processes registered before boot");
 
     TRACE(Os, "boot: %u processes, quantum=%u ticks",
@@ -181,27 +192,17 @@ VmsLite::buildTables()
     if (kstack_end > mmioPa_)
         fatal("VMS-lite: too many processes for the kernel stacks");
 
-    // Per-process arenas: P0 page table followed by the P0 image.
+    // Per-process arenas: P0 page table followed by the P0 image
+    // (loaded by addProcess).
     uint32_t ptable_bytes = 4 * cfg_.userP0Pages;
-    uint32_t arena_stride =
-        alignUp(ptable_bytes, pageBytes) +
-        cfg_.userP0Pages * pageBytes;
-    if (arenaBasePa_ + nproc * arena_stride >
-        cpu_.mem().config().memBytes) {
-        fatal("VMS-lite: %u processes do not fit in physical memory",
-              nproc);
-    }
-
     for (unsigned p = 0; p < nproc; ++p) {
-        PhysAddr arena = arenaBasePa_ + p * arena_stride;
-        PhysAddr ptable = arena;
-        PhysAddr image = arena + alignUp(ptable_bytes, pageBytes);
+        PhysAddr image = processImagePa(p);
+        PhysAddr ptable = image - alignUp(ptable_bytes, pageBytes);
         // P0 PTEs: user read/write.
         for (uint32_t j = 0; j < cfg_.userP0Pages; ++j) {
             uint32_t pfn = (image >> pageShift) + j;
             phys.write(ptable + 4 * j, pte::make(pfn, true, true), 4);
         }
-        phys.load(image, programs_[p].image);
 
         // PCB.
         PhysAddr pcb = pcbBasePa_ + p * pcbStride;
@@ -211,7 +212,7 @@ VmsLite::buildTables()
                    sysva(kstackBasePa_ + (p + 1) * kstackBytes_), 4);
         phys.write(pcb + pcbUsp,
                    cfg_.userP0Pages * pageBytes, 4); // top of P0
-        phys.write(pcb + pcbPc, programs_[p].entry, 4);
+        phys.write(pcb + pcbPc, processes_[p].entry, 4);
         phys.write(pcb + pcbPsl, userPslPacked, 4);
         phys.write(pcb + pcbP0br, sysva(ptable), 4);
         phys.write(pcb + pcbP0lr, cfg_.userP0Pages, 4);
@@ -241,25 +242,28 @@ VmsLite::buildKernel()
     VirtAddr mbx_tail = sysva(mbxPa_ + abi::mbxTail);
     VirtAddr mbx_ring = sysva(mbxPa_ + abi::mbxRing);
 
+    // Kernel symbols by name; sym() allocates a label on first use,
+    // so code can refer forward to routines and data defined later.
     Assembler a(kernelVa_);
+    auto sym = [&a](std::string_view name) { return a.sym(name); };
 
     // ================= boot =================
-    a.label("boot");
-    a.instr(op::MOVL, {Op::immAddr("runq_f"), Op::rel("runq_f")});
-    a.instr(op::MOVL, {Op::immAddr("runq_f"), Op::rel("runq_b")});
-    a.instr(op::MOVL, {Op::immAddr("proctab"), Op::reg(R1)});
+    a.bind(sym("boot"));
+    a.instr(op::MOVL, {Op::immAddr(sym("runq_f")), Op::rel(sym("runq_f"))});
+    a.instr(op::MOVL, {Op::immAddr(sym("runq_f")), Op::rel(sym("runq_b"))});
+    a.instr(op::MOVL, {Op::immAddr(sym("proctab")), Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(nproc), Op::reg(R2)});
-    a.label("boot_q");
-    a.instr(op::INSQUE, {Op::regDef(R1), Op::relDef("runq_b")});
+    a.bind(sym("boot_q"));
+    a.instr(op::INSQUE, {Op::regDef(R1), Op::relDef(sym("runq_b"))});
     a.instr(op::ADDL2, {Op::imm(abi::ptStride), Op::reg(R1)});
-    a.instr(op::SOBGTR, {Op::reg(R2), Op::branch("boot_q")});
+    a.instr(op::SOBGTR, {Op::reg(R2), Op::branch(sym("boot_q"))});
     a.instr(op::MOVL,
-            {Op::imm(cfg_.quantumTicks), Op::rel("quantum")});
+            {Op::imm(cfg_.quantumTicks), Op::rel(sym("quantum"))});
     a.instr(op::MTPR,
             {Op::imm(cfg_.timerIntervalCycles), Op::imm(pr::NICR)});
     a.instr(op::MTPR, {Op::imm(0x41), Op::imm(pr::ICCS)});
-    a.instr(op::REMQUE, {Op::relDef("runq_f"), Op::reg(R1)});
-    a.instr(op::MOVL, {Op::reg(R1), Op::rel("curproc")});
+    a.instr(op::REMQUE, {Op::relDef(sym("runq_f")), Op::reg(R1)});
+    a.instr(op::MOVL, {Op::reg(R1), Op::rel(sym("curproc"))});
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStart), Op::absolute(csr)});
     a.instr(op::MTPR,
@@ -268,39 +272,40 @@ VmsLite::buildKernel()
     a.instr(op::REI);
 
     // ================= interval-clock ISR =================
-    a.label("timer_isr");
+    a.bind(sym("timer_isr"));
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStart), Op::absolute(csr)});
-    a.instr(op::INCL, {Op::rel("ticks")});
+    a.instr(op::INCL, {Op::rel(sym("ticks"))});
     // Queue fork-level processing on alternate ticks, as VMS's clock
     // service drained its fork queues.
-    a.instr(op::BLBC, {Op::rel("ticks"), Op::branch("timer_nofork")});
+    a.instr(op::BLBC,
+            {Op::rel(sym("ticks")), Op::branch(sym("timer_nofork"))});
     a.instr(op::MTPR, {Op::imm(abi::iplFork), Op::imm(pr::SIRR)});
-    a.label("timer_nofork");
-    a.instr(op::DECL, {Op::rel("quantum")});
-    a.instr(op::BGTR, {Op::branch("timer_done")});
+    a.bind(sym("timer_nofork"));
+    a.instr(op::DECL, {Op::rel(sym("quantum"))});
+    a.instr(op::BGTR, {Op::branch(sym("timer_done"))});
     a.instr(op::MOVL,
-            {Op::imm(cfg_.quantumTicks), Op::rel("quantum")});
+            {Op::imm(cfg_.quantumTicks), Op::rel(sym("quantum"))});
     a.instr(op::MTPR,
             {Op::imm(abi::iplResched), Op::imm(pr::SIRR)});
-    a.label("timer_done");
+    a.bind(sym("timer_done"));
     a.instr(op::CMPL,
-            {Op::rel("curproc"), Op::immAddr("null_entry")});
-    a.instr(op::BNEQ, {Op::branch("timer_rei")});
+            {Op::rel(sym("curproc")), Op::immAddr(sym("null_entry"))});
+    a.instr(op::BNEQ, {Op::branch(sym("timer_rei"))});
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStop), Op::absolute(csr)});
-    a.label("timer_rei");
+    a.bind(sym("timer_rei"));
     a.instr(op::REI);
 
     // ================= terminal ISR =================
-    a.label("term_isr");
+    a.bind(sym("term_isr"));
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStart), Op::absolute(csr)});
     a.instr(op::PUSHR, {Op::imm(0x7C)}); // save R2-R6
-    a.label("term_loop");
+    a.bind(sym("term_loop"));
     a.instr(op::CMPL,
             {Op::absolute(mbx_head), Op::absolute(mbx_tail)});
-    a.instr(op::BEQL, {Op::branch("term_done")});
+    a.instr(op::BEQL, {Op::branch(sym("term_done"))});
     a.instr(op::MOVL, {Op::absolute(mbx_tail), Op::reg(R2)});
     a.instr(op::BICL3, {Op::imm(~uint32_t(abi::mbxEntries - 1)),
                         Op::reg(R2), Op::reg(R3)});
@@ -309,65 +314,66 @@ VmsLite::buildKernel()
     a.instr(op::MOVL, {Op::regDef(R3), Op::reg(R4)});
     // Disk completions name the process directly.
     a.instr(op::TSTL, {Op::disp(4, R3)});
-    a.instr(op::BEQL, {Op::branch("term_lookup")});
+    a.instr(op::BEQL, {Op::branch(sym("term_lookup"))});
     a.instr(op::ASHL, {Op::imm(5), Op::reg(R4), Op::reg(R5)});
-    a.instr(op::ADDL2, {Op::immAddr("proctab"), Op::reg(R5)});
-    a.instr(op::BRB, {Op::branch("term_found")});
-    a.label("term_lookup");
+    a.instr(op::ADDL2, {Op::immAddr(sym("proctab")), Op::reg(R5)});
+    a.instr(op::BRB, {Op::branch(sym("term_found"))});
+    a.bind(sym("term_lookup"));
     // Find the process attached to this terminal.
-    a.instr(op::MOVL, {Op::immAddr("proctab"), Op::reg(R5)});
+    a.instr(op::MOVL, {Op::immAddr(sym("proctab")), Op::reg(R5)});
     a.instr(op::MOVL, {Op::imm(nproc), Op::reg(R6)});
-    a.label("term_scan");
+    a.bind(sym("term_scan"));
     a.instr(op::CMPL, {Op::disp(abi::ptTermId, R5), Op::reg(R4)});
-    a.instr(op::BEQL, {Op::branch("term_found")});
+    a.instr(op::BEQL, {Op::branch(sym("term_found"))});
     a.instr(op::ADDL2, {Op::imm(abi::ptStride), Op::reg(R5)});
-    a.instr(op::SOBGTR, {Op::reg(R6), Op::branch("term_scan")});
-    a.instr(op::BRB, {Op::branch("term_consume")});
-    a.label("term_found");
+    a.instr(op::SOBGTR, {Op::reg(R6), Op::branch(sym("term_scan"))});
+    a.instr(op::BRB, {Op::branch(sym("term_consume"))});
+    a.bind(sym("term_found"));
     a.instr(op::TSTL, {Op::disp(abi::ptState, R5)});
-    a.instr(op::BEQL, {Op::branch("term_consume")});
+    a.instr(op::BEQL, {Op::branch(sym("term_consume"))});
     a.instr(op::CLRL, {Op::disp(abi::ptState, R5)});
-    a.instr(op::INSQUE, {Op::regDef(R5), Op::relDef("runq_b")});
+    a.instr(op::INSQUE, {Op::regDef(R5), Op::relDef(sym("runq_b"))});
     a.instr(op::MTPR,
             {Op::imm(abi::iplResched), Op::imm(pr::SIRR)});
-    a.label("term_consume");
+    a.bind(sym("term_consume"));
     a.instr(op::INCL, {Op::absolute(mbx_tail)});
-    a.instr(op::BRW, {Op::branch("term_loop")});
-    a.label("term_done");
+    a.instr(op::BRW, {Op::branch(sym("term_loop"))});
+    a.bind(sym("term_done"));
     a.instr(op::POPR, {Op::imm(0x7C)});
     a.instr(op::CMPL,
-            {Op::rel("curproc"), Op::immAddr("null_entry")});
-    a.instr(op::BNEQ, {Op::branch("term_rei")});
+            {Op::rel(sym("curproc")), Op::immAddr(sym("null_entry"))});
+    a.instr(op::BNEQ, {Op::branch(sym("term_rei"))});
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStop), Op::absolute(csr)});
-    a.label("term_rei");
+    a.bind(sym("term_rei"));
     a.instr(op::REI);
 
     // ================= fork-level processing ====================
-    a.label("fork_isr");
-    a.instr(op::INCL, {Op::rel("forks")});
+    a.bind(sym("fork_isr"));
+    a.instr(op::INCL, {Op::rel(sym("forks"))});
     a.instr(op::REI);
 
     // ================= reschedule (software interrupt) ===========
-    a.label("resched_isr");
+    a.bind(sym("resched_isr"));
     a.instr(op::SVPCTX);
-    a.instr(op::MOVL, {Op::rel("curproc"), Op::reg(R1)});
+    a.instr(op::MOVL, {Op::rel(sym("curproc")), Op::reg(R1)});
     a.instr(op::TSTL, {Op::disp(abi::ptState, R1)});
-    a.instr(op::BNEQ, {Op::branch("res_pick")});
-    a.instr(op::INSQUE, {Op::regDef(R1), Op::relDef("runq_b")});
-    a.label("res_pick");
-    a.instr(op::CMPL, {Op::rel("runq_f"), Op::immAddr("runq_f")});
-    a.instr(op::BEQL, {Op::branch("res_null")});
-    a.instr(op::REMQUE, {Op::relDef("runq_f"), Op::reg(R1)});
-    a.instr(op::MOVL, {Op::reg(R1), Op::rel("curproc")});
+    a.instr(op::BNEQ, {Op::branch(sym("res_pick"))});
+    a.instr(op::INSQUE, {Op::regDef(R1), Op::relDef(sym("runq_b"))});
+    a.bind(sym("res_pick"));
+    a.instr(op::CMPL, {Op::rel(sym("runq_f")), Op::immAddr(sym("runq_f"))});
+    a.instr(op::BEQL, {Op::branch(sym("res_null"))});
+    a.instr(op::REMQUE, {Op::relDef(sym("runq_f")), Op::reg(R1)});
+    a.instr(op::MOVL, {Op::reg(R1), Op::rel(sym("curproc"))});
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStart), Op::absolute(csr)});
     a.instr(op::MTPR,
             {Op::disp(abi::ptPcb, R1), Op::imm(pr::PCBB)});
     a.instr(op::LDPCTX);
     a.instr(op::REI);
-    a.label("res_null");
-    a.instr(op::MOVL, {Op::immAddr("null_entry"), Op::rel("curproc")});
+    a.bind(sym("res_null"));
+    a.instr(op::MOVL,
+            {Op::immAddr(sym("null_entry")), Op::rel(sym("curproc"))});
     a.instr(op::MOVL,
             {Op::imm(UpcMonitor::cmdStop), Op::absolute(csr)});
     a.instr(op::MTPR, {Op::imm(null_pcb), Op::imm(pr::PCBB)});
@@ -375,59 +381,59 @@ VmsLite::buildKernel()
     a.instr(op::REI);
 
     // ================= CHMK service dispatcher =================
-    a.label("chmk_handler");
+    a.bind(sym("chmk_handler"));
     a.instr(op::MOVL, {Op::autoInc(SP), Op::reg(R0)}); // service code
     a.instr(op::CASEL, {Op::reg(R0), Op::lit(0), Op::lit(5)});
-    a.caseTable({"svc_exit", "svc_wait", "svc_puts", "svc_gets",
-                 "svc_time", "svc_disk"});
+    a.caseTable({sym("svc_exit"), sym("svc_wait"), sym("svc_puts"),
+                 sym("svc_gets"), sym("svc_time"), sym("svc_disk")});
     a.instr(op::REI); // unknown service: ignore
 
-    a.label("svc_exit");
+    a.bind(sym("svc_exit"));
     // Restart the process image: rewrite the saved PC.
-    a.instr(op::MOVL, {Op::rel("curproc"), Op::reg(R1)});
+    a.instr(op::MOVL, {Op::rel(sym("curproc")), Op::reg(R1)});
     a.instr(op::MOVL, {Op::disp(abi::ptEntry, R1), Op::reg(R2)});
     a.instr(op::MOVL, {Op::reg(R2), Op::regDef(SP)});
     a.instr(op::REI);
 
-    a.label("svc_wait");
-    a.instr(op::MOVL, {Op::rel("curproc"), Op::reg(R1)});
+    a.bind(sym("svc_wait"));
+    a.instr(op::MOVL, {Op::rel(sym("curproc")), Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(abi::stateWaiting),
                        Op::disp(abi::ptState, R1)});
     a.instr(op::MTPR,
             {Op::imm(abi::iplResched), Op::imm(pr::SIRR)});
     a.instr(op::REI);
 
-    a.label("svc_puts");
+    a.bind(sym("svc_puts"));
     // R1 = user buffer, R2 = length (clamped to the staging buffer).
     a.instr(op::CMPL, {Op::reg(R2), Op::imm(64)});
-    a.instr(op::BLEQ, {Op::branch("puts_ok")});
+    a.instr(op::BLEQ, {Op::branch(sym("puts_ok"))});
     a.instr(op::MOVL, {Op::imm(64), Op::reg(R2)});
-    a.label("puts_ok");
+    a.bind(sym("puts_ok"));
     a.instr(op::PUSHL, {Op::reg(R2)});
     a.instr(op::MOVC3, {Op::reg(R2), Op::regDef(R1),
-                        Op::rel("staging")});
+                        Op::rel(sym("staging"))});
     a.instr(op::MOVL, {Op::autoInc(SP), Op::reg(R2)});
-    a.instr(op::LOCC, {Op::lit(36), Op::reg(R2), Op::rel("staging")});
+    a.instr(op::LOCC, {Op::lit(36), Op::reg(R2), Op::rel(sym("staging"))});
     a.instr(op::MOVL, {Op::reg(R0), Op::absolute(notify)});
     a.instr(op::REI);
 
-    a.label("svc_gets");
+    a.bind(sym("svc_gets"));
     a.instr(op::MOVC3, {Op::imm(abi::getsLineBytes),
-                        Op::rel("canned"), Op::regDef(R1)});
+                        Op::rel(sym("canned")), Op::regDef(R1)});
     a.instr(op::MOVL, {Op::imm(abi::getsLineBytes), Op::reg(R0)});
     a.instr(op::REI);
 
-    a.label("svc_time");
-    a.instr(op::MOVL, {Op::rel("ticks"), Op::reg(R0)});
+    a.bind(sym("svc_time"));
+    a.instr(op::MOVL, {Op::rel(sym("ticks")), Op::reg(R0)});
     a.instr(op::REI);
 
     // Start a disk transfer: mark the process disk-waiting, tell the
     // controller which process asked (its table index), and yield.
-    a.label("svc_disk");
-    a.instr(op::MOVL, {Op::rel("curproc"), Op::reg(R1)});
+    a.bind(sym("svc_disk"));
+    a.instr(op::MOVL, {Op::rel(sym("curproc")), Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(abi::stateWaitingDisk),
                        Op::disp(abi::ptState, R1)});
-    a.instr(op::SUBL3, {Op::immAddr("proctab"), Op::reg(R1),
+    a.instr(op::SUBL3, {Op::immAddr(sym("proctab")), Op::reg(R1),
                         Op::reg(R2)});
     a.instr(op::ASHL, {Op::imm(-5), Op::reg(R2), Op::reg(R2)});
     a.instr(op::MOVL, {Op::reg(R2), Op::absolute(diskreq)});
@@ -436,35 +442,35 @@ VmsLite::buildKernel()
     a.instr(op::REI);
 
     // ================= Null process =================
-    a.label("null_proc");
-    a.instr(op::BRB, {Op::branch("null_proc")});
+    a.bind(sym("null_proc"));
+    a.instr(op::BRB, {Op::branch(sym("null_proc"))});
 
     // ================= kernel data =================
     a.align(4);
-    a.label("runq_f");
+    a.bind(sym("runq_f"));
     a.lword(0);
-    a.label("runq_b");
+    a.bind(sym("runq_b"));
     a.lword(0);
-    a.label("curproc");
+    a.bind(sym("curproc"));
     a.lword(0);
-    a.label("ticks");
+    a.bind(sym("ticks"));
     a.lword(0);
-    a.label("quantum");
+    a.bind(sym("quantum"));
     a.lword(cfg_.quantumTicks);
-    a.label("forks");
+    a.bind(sym("forks"));
     a.lword(0);
-    a.label("proctab");
+    a.bind(sym("proctab"));
     for (unsigned p = 0; p < nproc; ++p) {
         a.lword(0); // queue flink
         a.lword(0); // queue blink
         a.lword(pcbBasePa_ + p * pcbStride);
         a.lword(abi::stateRunnable);
-        a.lword(programs_[p].terminalId);
-        a.lword(programs_[p].entry);
+        a.lword(processes_[p].terminalId);
+        a.lword(processes_[p].entry);
         a.lword(0);
         a.lword(0);
     }
-    a.label("null_entry");
+    a.bind(sym("null_entry"));
     a.lword(0);
     a.lword(0);
     a.lword(null_pcb);
@@ -473,9 +479,9 @@ VmsLite::buildKernel()
     a.lword(0);
     a.lword(0);
     a.lword(0);
-    a.label("canned");
+    a.bind(sym("canned"));
     a.ascii("run analysis 7\r\n"); // abi::getsLineBytes bytes
-    a.label("staging");
+    a.bind(sym("staging"));
     a.space(80);
 
     // ================= machine-check handler ====================
@@ -488,33 +494,33 @@ VmsLite::buildKernel()
     // kernel data, count the check, and resume the interrupted
     // instruction stream -- the hardware layer has already recovered
     // (line invalidated / entry dropped / fill retried).
-    a.label("mcheck_isr");
-    a.instr(op::MOVL, {Op::autoInc(SP), Op::rel("mcheck_last")});
-    a.instr(op::INCL, {Op::rel("mchecks")});
+    a.bind(sym("mcheck_isr"));
+    a.instr(op::MOVL, {Op::autoInc(SP), Op::rel(sym("mcheck_last"))});
+    a.instr(op::INCL, {Op::rel(sym("mchecks"))});
     a.instr(op::REI);
-    a.label("mchecks");
+    a.bind(sym("mchecks"));
     a.lword(0);
-    a.label("mcheck_last");
+    a.bind(sym("mcheck_last"));
     a.lword(0);
 
-    bootVa_ = a.addrOf("boot");
-    ticksPa_ = kernelPa_ + (a.addrOf("ticks") - kernelVa_);
-    mchecksPa_ = kernelPa_ + (a.addrOf("mchecks") - kernelVa_);
+    bootVa_ = a.addrOf(sym("boot"));
+    ticksPa_ = kernelPa_ + (a.addrOf(sym("ticks")) - kernelVa_);
+    mchecksPa_ = kernelPa_ + (a.addrOf(sym("mchecks")) - kernelVa_);
 
     // Patch the Null PCB now that the label exists.
-    phys.write(null_pcb + pcbPc, a.addrOf("null_proc"), 4);
+    phys.write(null_pcb + pcbPc, a.addrOf(sym("null_proc")), 4);
     phys.write(null_pcb + pcbPsl, 0, 4); // kernel, IPL 0
 
     // SCB vectors.
-    phys.write(scbPa_ + 4 * abi::iplTimer, a.addrOf("timer_isr"), 4);
-    phys.write(scbPa_ + 4 * abi::iplTerminal, a.addrOf("term_isr"), 4);
-    phys.write(scbPa_ + 4 * abi::iplDisk, a.addrOf("term_isr"), 4);
+    phys.write(scbPa_ + 4 * abi::iplTimer, a.addrOf(sym("timer_isr")), 4);
+    phys.write(scbPa_ + 4 * abi::iplTerminal, a.addrOf(sym("term_isr")), 4);
+    phys.write(scbPa_ + 4 * abi::iplDisk, a.addrOf(sym("term_isr")), 4);
     phys.write(scbPa_ + 4 * abi::iplResched,
-               a.addrOf("resched_isr"), 4);
-    phys.write(scbPa_ + 4 * abi::iplFork, a.addrOf("fork_isr"), 4);
-    phys.write(scbPa_ + 4 * 32, a.addrOf("chmk_handler"), 4);
+               a.addrOf(sym("resched_isr")), 4);
+    phys.write(scbPa_ + 4 * abi::iplFork, a.addrOf(sym("fork_isr")), 4);
+    phys.write(scbPa_ + 4 * 32, a.addrOf(sym("chmk_handler")), 4);
     phys.write(scbPa_ + 4 * abi::vecMachineCheck,
-               a.addrOf("mcheck_isr"), 4);
+               a.addrOf(sym("mcheck_isr")), 4);
 
     auto image = a.finish();
     if (kernelPa_ + image.size() > arenaBasePa_)
@@ -535,7 +541,7 @@ VmsLite::save(snap::Serializer &s) const
     s.putU32(cfg_.quantumTicks);
     s.putU32(cfg_.timerIntervalCycles);
     s.putU32(cfg_.userP0Pages);
-    s.putU32(static_cast<uint32_t>(programs_.size()));
+    s.putU32(static_cast<uint32_t>(processes_.size()));
     s.putU32(kernelPa_);
     s.putU32(kernelVa_);
     s.putU32(bootVa_);
@@ -558,7 +564,7 @@ VmsLite::restore(snap::Deserializer &d)
     d.expectU32(cfg_.quantumTicks, "scheduler quantum");
     d.expectU32(cfg_.timerIntervalCycles, "timer interval");
     d.expectU32(cfg_.userP0Pages, "user P0 pages");
-    d.expectU32(static_cast<uint32_t>(programs_.size()),
+    d.expectU32(static_cast<uint32_t>(processes_.size()),
                 "process count");
     d.expectU32(kernelPa_, "kernel PA");
     d.expectU32(kernelVa_, "kernel VA");

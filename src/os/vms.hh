@@ -49,8 +49,12 @@ class VmsLite
     VmsLite(Cpu780 &cpu, UpcMonitor &monitor,
             const VmsConfig &cfg = VmsConfig());
 
-    /** Register a process before boot. */
-    void addProcess(const UserProgram &prog);
+    /**
+     * Register a process before boot and load its image into its P0
+     * arena.  Pass an rvalue when the caller is done with the program:
+     * the image is taken, not copied, and released once loaded.
+     */
+    void addProcess(UserProgram prog);
 
     /**
      * Build the kernel, page tables, PCBs and process images; preset
@@ -97,7 +101,7 @@ class VmsLite
 
     unsigned numProcesses() const
     {
-        return static_cast<unsigned>(programs_.size());
+        return static_cast<unsigned>(processes_.size());
     }
 
     /** Physical address of process p's P0 image (for host checks). */
@@ -120,12 +124,18 @@ class VmsLite
     Cpu780 &cpu_;
     UpcMonitor &monitor_;
     VmsConfig cfg_;
-    std::vector<UserProgram> programs_;
+    /** What the kernel tables need of each registered process. */
+    struct Process
+    {
+        VirtAddr entry;
+        unsigned terminalId;
+    };
+    std::vector<Process> processes_;
     std::function<void(uint32_t)> outputFn_;
     std::function<void(uint32_t)> diskFn_;
     bool booted_ = false;
 
-    // Physical layout (computed in boot()).
+    // Physical layout (fixed; the kernel VA is set in boot()).
     PhysAddr scbPa_ = 0x200;
     PhysAddr pcbBasePa_ = 0x400;
     PhysAddr sptPa_ = 0x10000;

@@ -7,6 +7,16 @@
 namespace vax
 {
 
+WeightTable::WeightTable(std::vector<double> weights)
+    : w_(std::move(weights))
+{
+    for (double w : w_) {
+        upc_assert(w >= 0.0);
+        total_ += w;
+    }
+    upc_assert(total_ > 0.0);
+}
+
 Rng::Rng(uint64_t seed)
     : state_(seed ? seed : 0x9e3779b97f4a7c15ULL)
 {
@@ -15,46 +25,12 @@ Rng::Rng(uint64_t seed)
         next();
 }
 
-uint64_t
-Rng::next()
-{
-    uint64_t x = state_;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    state_ = x;
-    return x * 0x2545f4914f6cdd1dULL;
-}
-
-uint32_t
-Rng::below(uint32_t bound)
-{
-    upc_assert(bound > 0);
-    return static_cast<uint32_t>(next() % bound);
-}
-
 int32_t
 Rng::range(int32_t lo, int32_t hi)
 {
     upc_assert(lo <= hi);
     uint32_t span = static_cast<uint32_t>(hi - lo) + 1;
     return lo + static_cast<int32_t>(span == 0 ? next() : below(span));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
-double
-Rng::uniform()
-{
-    return (next() >> 11) * (1.0 / 9007199254740992.0); // 2^53
 }
 
 uint32_t
@@ -70,24 +46,6 @@ Rng::geometric(double mean)
     uint32_t n = 1 + static_cast<uint32_t>(v);
     uint32_t cap = static_cast<uint32_t>(64.0 * mean);
     return n > cap ? cap : n;
-}
-
-size_t
-Rng::pickWeighted(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        upc_assert(w >= 0.0);
-        total += w;
-    }
-    upc_assert(total > 0.0);
-    double r = uniform() * total;
-    for (size_t i = 0; i < weights.size(); ++i) {
-        r -= weights[i];
-        if (r < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
 }
 
 } // namespace vax

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 
 #include "support/logging.hh"
 
@@ -155,34 +156,60 @@ ControlStore::resolveFlows()
         if (!flows_[a].calls.empty() && a + 1 < n)
             ret_set.push_back(static_cast<UAddr>(a + 1));
 
+    // The shared sets are large (the dispatch set has hundreds of
+    // entries), so each combination a word can declare is sorted and
+    // merged once, and every word only sorts its own few targets.
+    auto sortUnique = [](std::vector<UAddr> &v) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+    };
+    const std::vector<UAddr> *sets[] = {&end_set, &dispatch_set,
+                                        &spec26_set, &ret_set};
+    std::array<std::vector<UAddr>, 16> shared;
+    std::array<bool, 16> built{};
+    auto sharedFor = [&](unsigned mask) -> const std::vector<UAddr> & {
+        if (!built[mask]) {
+            for (unsigned i = 0; i < 4; ++i)
+                if (mask & (1u << i))
+                    shared[mask].insert(shared[mask].end(),
+                                        sets[i]->begin(), sets[i]->end());
+            sortUnique(shared[mask]);
+            built[mask] = true;
+        }
+        return shared[mask];
+    };
+
+    std::vector<UAddr> own;
     for (size_t a = 0; a < n; ++a) {
         const UFlow &f = flows_[a];
-        std::vector<UAddr> &s = succ_[a];
+        own.clear();
         if (f.fall && a + 1 < n)
-            s.push_back(static_cast<UAddr>(a + 1));
+            own.push_back(static_cast<UAddr>(a + 1));
         for (ULabel l : f.targets) {
             int32_t t = labelBinding(l);
             if (t >= 0 && static_cast<size_t>(t) < n)
-                s.push_back(static_cast<UAddr>(t));
+                own.push_back(static_cast<UAddr>(t));
         }
         for (ULabel l : f.calls) {
             int32_t t = labelBinding(l);
             if (t >= 0 && static_cast<size_t>(t) < n)
-                s.push_back(static_cast<UAddr>(t));
+                own.push_back(static_cast<UAddr>(t));
         }
         for (UAddr t : f.rawTargets)
             if (t < n)
-                s.push_back(t);
-        if (f.end)
-            s.insert(s.end(), end_set.begin(), end_set.end());
-        if (f.dispatch)
-            s.insert(s.end(), dispatch_set.begin(), dispatch_set.end());
-        if (f.spec26)
-            s.insert(s.end(), spec26_set.begin(), spec26_set.end());
-        if (f.ret)
-            s.insert(s.end(), ret_set.begin(), ret_set.end());
-        std::sort(s.begin(), s.end());
-        s.erase(std::unique(s.begin(), s.end()), s.end());
+                own.push_back(t);
+        sortUnique(own);
+        unsigned mask = (f.end ? 1u : 0u) | (f.dispatch ? 2u : 0u) |
+            (f.spec26 ? 4u : 0u) | (f.ret ? 8u : 0u);
+        std::vector<UAddr> &s = succ_[a];
+        if (!mask) {
+            s = own;
+            continue;
+        }
+        const std::vector<UAddr> &sh = sharedFor(mask);
+        s.reserve(own.size() + sh.size());
+        std::set_union(own.begin(), own.end(), sh.begin(), sh.end(),
+                       std::back_inserter(s));
     }
     resolved_ = true;
 }
@@ -215,6 +242,12 @@ ControlStore::semArenaAlloc(size_t size, size_t align)
     }
     semChunkUsed_ = at + size;
     return semChunks_.back().get() + at;
+}
+
+const char *
+ControlStore::internName(std::string name)
+{
+    return names_.emplace_back(std::move(name)).c_str();
 }
 
 UAddr

@@ -30,10 +30,12 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <memory>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -401,6 +403,12 @@ class ControlStore
      */
     const DecodedWord *decodedTable() const { return decoded_.data(); }
 
+    /**
+     * Keep a copy of a name built at ROM time (annotations hold plain
+     * const char * names) for the life of this store.
+     */
+    const char *internName(std::string name);
+
     EntryPoints entries;
 
   private:
@@ -431,6 +439,9 @@ class ControlStore
     size_t semChunkUsed_ = 0; ///< bytes used in the newest chunk
     /** Keep-alive for the rare non-trivially-copyable callable. */
     std::vector<std::shared_ptr<const void>> semBoxed_;
+    /** Interned annotation names; a deque never moves its elements,
+     *  so each c_str() stays valid. */
+    std::deque<std::string> names_;
 };
 
 /**

@@ -88,6 +88,13 @@ struct RomCtx
 
     ULabel lbl() { return ua.newLabel(); }
     void bind(ULabel l) { ua.bind(l); }
+
+    /** A generated annotation name, kept alive by the store. */
+    const char *
+    name(std::string s)
+    {
+        return ua.store().internName(std::move(s));
+    }
 };
 
 /** @{ Builders, one per microcode area (rom_*.cc). */

@@ -8,7 +8,6 @@
  * for this group.
  */
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,10 +40,10 @@ emitReadLoop(RomCtx &c, const char *name, ULabel after)
     ULabel loop = c.lbl();
     std::string n(name);
     c.bind(loop);
-    c.emitRead(R, strdup((n + ".rd").c_str()), flowFall(),
+    c.emitRead(R, c.name(n + ".rd"), flowFall(),
                [](Ebox &e) { e.memRead(e.lat.t[0], 1); });
     // packedBytes(31 digits) = 16: the architectural byte bound.
-    c.emit(R, strdup((n + ".st").c_str()),
+    c.emit(R, c.name(n + ".st"),
            flowTo({loop, after}).withLoopBound(16),
            [loop, after](Ebox &e) {
         e.lat.strBuf[e.lat.t[2]++] = static_cast<uint8_t>(e.md());
@@ -65,10 +64,10 @@ emitWriteLoop(RomCtx &c, const char *name, ULabel after)
     ULabel loop = c.lbl();
     std::string n(name);
     c.bind(loop);
-    c.emitWrite(R, strdup((n + ".wr").c_str()), flowFall(), [](Ebox &e) {
+    c.emitWrite(R, c.name(n + ".wr"), flowFall(), [](Ebox &e) {
         e.memWrite(e.lat.t[0], e.lat.strBuf[e.lat.t[2]], 1);
     });
-    c.emit(R, strdup((n + ".nx").c_str()),
+    c.emit(R, c.name(n + ".nx"),
            flowTo({loop, after}).withLoopBound(16),
            [loop, after](Ebox &e) {
         ++e.lat.t[2];

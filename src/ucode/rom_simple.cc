@@ -9,7 +9,6 @@
  * sharing that limits what the UPC histogram can distinguish.
  */
 
-#include <cstring>
 #include <string>
 
 #include "ucode/rom_ctx.hh"
@@ -217,7 +216,7 @@ buildBranches(RomCtx &c)
                   });
         std::string n(name);
         c.bind(wr_reg);
-        c.emit(R, strdup((n + ".wreg").c_str()),
+        c.emit(R, c.name(n + ".wreg"),
                flowTo(taken).orEnd(), [cond, taken](Ebox &e) {
                    writeRegSized(&e.r(e.lat.dst[0].reg), e.lat.t[0],
                                  DataType::Long);
@@ -227,7 +226,7 @@ buildBranches(RomCtx &c)
                        branchNotTaken(e);
                });
         c.bind(wr_mem);
-        c.emitWrite(R, strdup((n + ".wmem").c_str()),
+        c.emitWrite(R, c.name(n + ".wmem"),
                     flowTo(taken).orEnd(), [cond, taken](Ebox &e) {
                         if (cond(e))
                             e.uJump(taken);

@@ -11,7 +11,6 @@
  * SPEC2-6.
  */
 
-#include <cstring>
 #include <string>
 
 #include "ucode/rom_ctx.hh"
@@ -151,13 +150,6 @@ formPtrDispDef(Ebox &e)
     return true;
 }
 
-/** Leaked-name helper for annotation labels built at ROM time. */
-const char *
-leakName(const std::string &s)
-{
-    return strdup(s.c_str());
-}
-
 const char *accNames[] = {"r", "w", "m", "a"};
 
 UAnnotation
@@ -167,7 +159,7 @@ entryAnn(RomCtx &c, AddrMode mode, unsigned pos, SpecAccClass acc,
     std::string name = std::string("SPEC") + (pos == 0 ? "1." : "26.") +
         addrModeName(mode) + "." + accNames[static_cast<unsigned>(acc)];
     UAnnotation a = c.ann(pos == 0 ? Row::Spec1 : Row::Spec26,
-                          leakName(name));
+                          c.name(std::move(name)));
     a.mark = UMark::SpecModeEntry;
     a.specMode = mode;
     a.spec1 = pos == 0;
@@ -184,7 +176,7 @@ bodyAnn(RomCtx &c, AddrMode mode, unsigned pos, const char *suffix,
     std::string name = std::string("SPEC") + (pos == 0 ? "1." : "26.") +
         addrModeName(mode) + suffix;
     UAnnotation a = c.ann(pos == 0 ? Row::Spec1 : Row::Spec26,
-                          leakName(name));
+                          c.name(std::move(name)));
     a.mem = mem;
     return a;
 }
@@ -488,7 +480,7 @@ buildIndexPrefix(RomCtx &c, unsigned pos)
     std::string name =
         std::string(pos == 0 ? "SPEC1" : "SPEC26") + ".index";
     UAnnotation a = c.ann(pos == 0 ? Row::Spec1 : Row::Spec26,
-                          leakName(name));
+                          c.name(std::move(name)));
     a.mark = UMark::SpecIndexed;
     a.spec1 = pos == 0;
     c.ep.indexPrefix[pos] = c.emitFull(a, flowSpec26(), [](Ebox &e) {

@@ -19,7 +19,7 @@
 #ifndef UPC780_WORKLOAD_CODEGEN_HH
 #define UPC780_WORKLOAD_CODEGEN_HH
 
-#include <string>
+#include <vector>
 
 #include "arch/assembler.hh"
 #include "os/vms.hh"
@@ -74,20 +74,44 @@ class CodeGenerator
     void emitSubroutines();
     void emitProcedures();
 
-    std::string uniq(const char *stem);
-    uint32_t dataAddr(const std::string &label);
-    Operand dataOperand(const std::string &label);
+    Operand dataOperand(VirtAddr addr);
 
     const WorkloadProfile &prof_;
     Rng rng_;
+
+    /** @{ Weight lists drawn from once per operand or block, built
+     *  once per generator from the profile (see Rng::pickWeighted). */
+    WeightTable blockW_;
+    WeightTable memW_;          ///< disp, regdef, dispdef, absolute
+    WeightTable readW_;         ///< reg, literal, immediate, memory
+    WeightTable readMemBiasW_;  ///< readW_ with memory-biased register
+    WeightTable writeW_;        ///< reg, memory
+    WeightTable loopFlavorW_;
+    /** @} */
+
+    /** @{ Data layout (data is emitted first, so addresses are known
+     *  before any code refers to them). */
     uint32_t hotVa_ = 0;     ///< VA of the hot region
+    uint32_t coldVa_ = 0;    ///< VA of the cold region
     uint32_t fdatOff_ = 0;   ///< offset of the float pool off R8
     uint32_t ptrtabOff_ = 0; ///< offset of the pointer table off R8
+    uint32_t qhdrVa_ = 0;
+    uint32_t qentVa_[6] = {};
+    uint32_t strVa_[3] = {};
+    uint32_t charTabVa_ = 0;
+    uint32_t pkVa_[6] = {};
+    uint32_t ioBufVa_ = 0;
+    /** @} */
+
+    /** @{ Call targets, allocated before the code that calls them. */
+    Label leaf_[3] = {};
+    std::vector<Label> sub_;
+    std::vector<Label> proc_;
+    /** @} */
+
     Assembler a_{0};
-    unsigned label_ = 0;
     unsigned curSub_ = 0;    ///< index while emitting subroutines
     bool inSub_ = false;
-    BlockKind lastKind_ = BlockKind::NumKinds;
 };
 
 } // namespace vax

@@ -202,6 +202,8 @@ struct Builder
     bool needRsb = false;
 
     Assembler a{kCodeBase};
+    /** The shared RSB that BSBx/JSB copies return through. */
+    Label rsb = a.newLabel();
     std::vector<uint32_t> offsets;
 
     /** Static instruction profile, built by the assembler hook: each
@@ -216,7 +218,7 @@ struct Builder
     }
 
     void
-    recordInstr(const OpcodeInfo &ii, const std::vector<Operand> &ops)
+    recordInstr(const OpcodeInfo &ii, std::span<const Operand> ops)
     {
         if (hookMult == 0)
             return;
@@ -234,14 +236,6 @@ struct Builder
         }
         profile.push_back(
             UcharProfileEntry{ii.opcode, hookMult, std::move(specs)});
-    }
-
-    std::string
-    copyLabel(uint32_t k, const char *tag) const
-    {
-        std::ostringstream os;
-        os << "uch_" << tag << "_" << k;
-        return os.str();
     }
 
     /** Mark the next emitted instruction as the measured one. */
@@ -359,9 +353,9 @@ struct Builder
     }
 
     void
-    emitPlainCopy(uint32_t k)
+    emitPlainCopy()
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
         std::vector<Operand> ops;
         unsigned addr_seq = 0;
         for (unsigned i = 0; i < info.numOperands; ++i) {
@@ -378,15 +372,15 @@ struct Builder
         }
         markTarget();
         a.instr(info.opcode, ops);
-        a.label(next);
+        a.bind(next);
     }
 
     /** JMP/JSB destination scaffold: make the varied address operand
-     *  resolve to `dest`, then emit the measured instruction. */
+     *  resolve to `dest`, then emit the measured instruction; `next`
+     *  is bound right after it. */
     void
-    emitJumpCopy(uint32_t k, const std::string &dest)
+    emitJumpCopy(uint32_t k, Label next, Label dest)
     {
-        std::string next = copyLabel(k, "next");
         auto loadR10 = [&] {
             a.instr(op::MOVL,
                     {Operand::immAddr(dest), Operand::reg(R10)});
@@ -446,54 +440,54 @@ struct Builder
         }
         markTarget();
         a.instr(info.opcode, {target});
-        a.label(next);
+        a.bind(next);
     }
 
     void
-    emitCaseCopy(uint32_t k)
+    emitCaseCopy()
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
         markTarget();
         a.instr(info.opcode,
                 {variedOperand(), Operand::lit(0), Operand::lit(1)});
         a.caseTable({next, next});
-        a.label(next);
+        a.bind(next);
     }
 
     void
-    emitCallCopy(uint32_t k)
+    emitCallCopy()
     {
-        std::string entry = copyLabel(k, "entry");
+        Label entry = a.newLabel();
         markTarget();
         a.instr(info.opcode,
                 {variedOperand(), Operand::rel(entry)});
-        a.label(entry);
+        a.bind(entry);
         a.entryMask(0); // execution continues right after the mask
     }
 
     void
-    emitRetCopy(uint32_t k)
+    emitRetCopy()
     {
-        std::string entry = copyLabel(k, "entry");
-        std::string next = copyLabel(k, "next");
+        Label entry = a.newLabel();
+        Label next = a.newLabel();
         a.instr(op::CALLS, {Operand::lit(0), Operand::rel(entry)});
         a.instr(op::BRB, {Operand::branch(next)});
-        a.label(entry);
+        a.bind(entry);
         a.entryMask(0);
         markTarget();
         a.instr(op::RET);
-        a.label(next);
+        a.bind(next);
     }
 
     void
-    emitReiCopy(uint32_t k)
+    emitReiCopy()
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
         a.instr(op::PUSHL, {Operand::imm(0)}); // new PSL: kernel, IPL 0
         a.instr(op::PUSHL, {Operand::immAddr(next)}); // new PC on top
         markTarget();
         a.instr(info.opcode);
-        a.label(next);
+        a.bind(next);
     }
 
     void
@@ -503,7 +497,7 @@ struct Builder
             markTarget();
         uint8_t bsb =
             info.flow == ExecFlow::Rsb ? op::BSBB : info.opcode;
-        a.instr(bsb, {Operand::branch("uch_rsb")});
+        a.instr(bsb, {Operand::branch(rsb)});
     }
 
     void
@@ -511,28 +505,30 @@ struct Builder
     {
         switch (h) {
           case Harness::Plain:
-            emitPlainCopy(k);
+            emitPlainCopy();
             break;
-          case Harness::Jump:
-            emitJumpCopy(k, copyLabel(k, "next"));
+          case Harness::Jump: {
+            Label next = a.newLabel();
+            emitJumpCopy(k, next, next);
             break;
+          }
           case Harness::JsbJump:
-            emitJumpCopy(k, "uch_rsb");
+            emitJumpCopy(k, a.newLabel(), rsb);
             break;
           case Harness::BsbPair:
             emitBsbCopy();
             break;
           case Harness::Case:
-            emitCaseCopy(k);
+            emitCaseCopy();
             break;
           case Harness::CallMask:
-            emitCallCopy(k);
+            emitCallCopy();
             break;
           case Harness::RetPair:
-            emitRetCopy(k);
+            emitRetCopy();
             break;
           case Harness::Rei:
-            emitReiCopy(k);
+            emitReiCopy();
             break;
           case Harness::Skip:
             fatal("uchar: emitCopy on a skipped harness");
@@ -659,30 +655,32 @@ struct Builder
 
         const uint64_t iters = p.iters;
         a.setInstrHook([this](const OpcodeInfo &ii,
-                              const std::vector<Operand> &ops) {
+                              std::span<const Operand> ops) {
             recordInstr(ii, ops);
         });
 
         hookMult = 1;
         a.instr(op::MOVL,
                 {Operand::imm(p.iters), Operand::reg(R11)});
-        a.label("uch_loop");
+        Label loop = a.newLabel(), again = a.newLabel();
+        Label done = a.newLabel();
+        a.bind(loop);
         hookMult = iters; // loop body: preamble + copies + SOBGTR
         emitPreamble();
         for (uint32_t k = 0; k < p.unroll; ++k)
             emitCopy(k);
         a.instr(op::SOBGTR,
-                {Operand::reg(R11), Operand::branch("uch_again")});
+                {Operand::reg(R11), Operand::branch(again)});
         hookMult = 1; // fall-through after the final iteration
-        a.instr(op::BRB, {Operand::branch("uch_done")});
-        a.label("uch_again");
+        a.instr(op::BRB, {Operand::branch(done)});
+        a.bind(again);
         hookMult = iters - 1; // back-jump on all but the last
-        a.instr(op::JMP, {Operand::absoluteLabel("uch_loop")});
-        a.label("uch_done");
+        a.instr(op::JMP, {Operand::absoluteLabel(loop)});
+        a.bind(done);
         hookMult = kHaltRetires;
         a.instr(op::HALT);
         if (needRsb) {
-            a.label("uch_rsb");
+            a.bind(rsb);
             if (info.flow == ExecFlow::Rsb)
                 markTarget();
             // The shared RSB returns from every BSBx/JSB copy.

@@ -273,8 +273,8 @@ TEST(Assembler, DisassemblerRoundTrip)
     a.instr(op::MOVB, {Operand::autoInc(R1), Operand::autoDec(R5)});
     a.instr(op::CMPW, {Operand::absolute(0x3000),
                        Operand::dispDef(-4, R6)});
-    a.instr(op::BRB, {Operand::branch("self")});
-    a.label("self");
+    a.instr(op::BRB, {Operand::branch(a.sym("self"))});
+    a.bind(a.sym("self"));
     a.instr(op::HALT);
     auto image = a.finish();
 
@@ -301,9 +301,9 @@ TEST(Assembler, BranchRangeChecked)
     // A byte branch over >127 bytes of padding must be fatal; check
     // that a word branch over the same span is fine.
     Assembler a(0);
-    a.instr(op::BRW, {Operand::branch("far")});
+    a.instr(op::BRW, {Operand::branch(a.sym("far"))});
     a.space(1000);
-    a.label("far");
+    a.bind(a.sym("far"));
     a.instr(op::HALT);
     auto image = a.finish();
     EXPECT_GT(image.size(), 1000u);
@@ -312,8 +312,8 @@ TEST(Assembler, BranchRangeChecked)
 TEST(Assembler, LabelsAndFixups)
 {
     Assembler a(0x100);
-    a.addrLong("target");
-    a.label("target");
+    a.addrLong(a.sym("target"));
+    a.bind(a.sym("target"));
     a.lword(0xCAFEBABE);
     auto image = a.finish();
     // First longword holds the address of "target" (0x104).
@@ -325,10 +325,10 @@ TEST(Assembler, LabelsAndFixups)
 TEST(Assembler, CaseTableDisplacements)
 {
     Assembler a(0);
-    a.caseTable({"t0", "t1"});
-    a.label("t0");
+    a.caseTable({a.sym("t0"), a.sym("t1")});
+    a.bind(a.sym("t0"));
     a.byte(1);
-    a.label("t1");
+    a.bind(a.sym("t1"));
     a.byte(2);
     auto image = a.finish();
     // Displacements are relative to the table base (address 0).

@@ -105,19 +105,19 @@ TEST(AssemblerEdge, ErrorPathsAreFatal)
     }, "literal");
     EXPECT_DEATH({
         Assembler a(0);
-        a.label("x");
-        a.label("x"); // duplicate
+        a.bind(a.sym("x"));
+        a.bind(a.sym("x")); // duplicate
     }, "duplicate");
     EXPECT_DEATH({
         Assembler a(0);
-        a.instr(op::BRB, {Op::branch("far")});
+        a.instr(op::BRB, {Op::branch(a.sym("far"))});
         a.space(200);
-        a.label("far");
+        a.bind(a.sym("far"));
         a.finish(); // byte branch out of range
     }, "out of range");
     EXPECT_DEATH({
         Assembler a(0);
-        a.instr(op::BRB, {Op::branch("nowhere")});
+        a.instr(op::BRB, {Op::branch(a.sym("nowhere"))});
         a.finish();
     }, "undefined label");
 }
@@ -125,8 +125,8 @@ TEST(AssemblerEdge, ErrorPathsAreFatal)
 TEST(AssemblerEdge, RelativeDisassemblesToTarget)
 {
     Assembler a(0x2000);
-    a.instr(op::TSTL, {Op::rel("target")});
-    a.label("target");
+    a.instr(op::TSTL, {Op::rel(a.sym("target"))});
+    a.bind(a.sym("target"));
     a.lword(1);
     auto img = a.finish();
     auto d = disassemble(0x2000, [&](VirtAddr va) {

@@ -58,9 +58,9 @@ TEST(CpuBasic, LoopWithSobgtr)
     auto &a = m.asmblr;
     a.instr(op::CLRL, {Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(10), Op::reg(R2)});
-    a.label("loop");
+    a.bind(a.sym("loop"));
     a.instr(op::ADDL2, {Op::reg(R2), Op::reg(R1)});
-    a.instr(op::SOBGTR, {Op::reg(R2), Op::branch("loop")});
+    a.instr(op::SOBGTR, {Op::reg(R2), Op::branch(a.sym("loop"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 55u);
@@ -73,10 +73,10 @@ TEST(CpuBasic, ConditionalBranches)
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(7), Op::reg(R0)});
     a.instr(op::CMPL, {Op::reg(R0), Op::imm(7)});
-    a.instr(op::BEQL, {Op::branch("eq")});
+    a.instr(op::BEQL, {Op::branch(a.sym("eq"))});
     a.instr(op::MOVL, {Op::imm(111), Op::reg(R1)});
     a.instr(op::HALT);
-    a.label("eq");
+    a.bind(a.sym("eq"));
     a.instr(op::MOVL, {Op::imm(222), Op::reg(R1)});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
@@ -87,10 +87,10 @@ TEST(CpuBasic, SubroutineLinkage)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::BSBW, {Op::branch("sub")});
+    a.instr(op::BSBW, {Op::branch(a.sym("sub"))});
     a.instr(op::MOVL, {Op::imm(5), Op::reg(R2)});
     a.instr(op::HALT);
-    a.label("sub");
+    a.bind(a.sym("sub"));
     a.instr(op::MOVL, {Op::imm(9), Op::reg(R1)});
     a.instr(op::RSB);
     ASSERT_TRUE(m.run());
@@ -103,9 +103,9 @@ TEST(CpuBasic, ProcedureCallReturn)
     BareMachine m;
     auto &a = m.asmblr;
     a.instr(op::PUSHL, {Op::imm(21)});
-    a.instr(op::CALLS, {Op::imm(1), Op::rel("proc")});
+    a.instr(op::CALLS, {Op::imm(1), Op::rel(a.sym("proc"))});
     a.instr(op::HALT);
-    a.label("proc");
+    a.bind(a.sym("proc"));
     a.entryMask(1u << 2 | 1u << 3); // save R2, R3
     a.instr(op::MOVL, {Op::disp(4, AP), Op::reg(R0)});
     a.instr(op::ADDL2, {Op::reg(R0), Op::reg(R0)});
@@ -121,20 +121,20 @@ TEST(CpuBasic, CharacterMove)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::MOVC3, {Op::imm(16), Op::rel("src"), Op::rel("dst")});
+    a.instr(op::MOVC3, {Op::imm(16), Op::rel(a.sym("src")), Op::rel(a.sym("dst"))});
     a.instr(op::HALT);
     a.align(4);
-    a.label("src");
+    a.bind(a.sym("src"));
     a.ascii("hello, vax-11/78");
     a.align(4);
-    a.label("dst");
+    a.bind(a.sym("dst"));
     a.space(16);
     ASSERT_TRUE(m.run());
     for (unsigned i = 0; i < 16; ++i) {
         EXPECT_EQ(m.cpu->mem().phys().readByte(
-                      m.asmblr.addrOf("dst") + i),
+                      m.asmblr.addrOf(m.asmblr.sym("dst")) + i),
                   m.cpu->mem().phys().readByte(
-                      m.asmblr.addrOf("src") + i));
+                      m.asmblr.addrOf(m.asmblr.sym("src")) + i));
     }
     EXPECT_EQ(m.gpr(R0), 0u);
 }
@@ -145,16 +145,16 @@ TEST(CpuBasic, CaseBranch)
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(1), Op::reg(R0)});
     a.instr(op::CASEL, {Op::reg(R0), Op::lit(0), Op::lit(2)});
-    a.caseTable({"case0", "case1", "case2"});
+    a.caseTable({a.sym("case0"), a.sym("case1"), a.sym("case2")});
     a.instr(op::MOVL, {Op::imm(99), Op::reg(R1)}); // fall-through
     a.instr(op::HALT);
-    a.label("case0");
+    a.bind(a.sym("case0"));
     a.instr(op::MOVL, {Op::imm(10), Op::reg(R1)});
     a.instr(op::HALT);
-    a.label("case1");
+    a.bind(a.sym("case1"));
     a.instr(op::MOVL, {Op::imm(11), Op::reg(R1)});
     a.instr(op::HALT);
-    a.label("case2");
+    a.bind(a.sym("case2"));
     a.instr(op::MOVL, {Op::imm(12), Op::reg(R1)});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());

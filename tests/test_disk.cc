@@ -27,15 +27,15 @@ diskLoopProgram()
 {
     Assembler a(0);
     a.lword(0);
-    a.label("count");
+    a.bind(a.sym("count"));
     a.lword(0);
-    a.label("entry");
-    a.label("loop");
-    a.instr(op::INCL, {Op::rel("count")});
+    a.bind(a.sym("entry"));
+    a.bind(a.sym("loop"));
+    a.instr(op::INCL, {Op::rel(a.sym("count"))});
     a.instr(op::CHMK, {Op::imm(abi::sysDiskRead)});
-    a.instr(op::BRB, {Op::branch("loop")});
+    a.instr(op::BRB, {Op::branch(a.sym("loop"))});
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
+    prog.entry = a.addrOf(a.sym("entry"));
     prog.image = a.finish();
     return prog;
 }

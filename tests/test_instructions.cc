@@ -47,10 +47,10 @@ TEST_P(AddressingModeTest, LoadsValue)
     GetParam().build(a);
     a.instr(op::HALT);
     a.align(4);
-    a.label("val");
+    a.bind(a.sym("val"));
     a.lword(0x11223344);
-    a.label("ptr");
-    a.addrLong("val");
+    a.bind(a.sym("ptr"));
+    a.addrLong(a.sym("val"));
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 0x11223344u) << GetParam().name;
 }
@@ -64,62 +64,62 @@ static const ModeCase mode_cases[] = {
          a.instr(op::MOVL, {Op::imm(0x11223344), Op::reg(R1)});
      }},
     {"register_deferred", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::MOVL, {Op::regDef(R2), Op::reg(R1)});
      }},
     {"byte_displacement", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::SUBL2, {Op::imm(8), Op::reg(R2)});
          a.instr(op::MOVL, {Op::disp(8, R2), Op::reg(R1)});
      }},
     {"word_displacement", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::SUBL2, {Op::imm(0x300), Op::reg(R2)});
          a.instr(op::MOVL, {Op::disp(0x300, R2), Op::reg(R1)});
      }},
     {"long_displacement", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::SUBL2, {Op::imm(0x10000), Op::reg(R2)});
          a.instr(op::MOVL, {Op::disp(0x10000, R2), Op::reg(R1)});
      }},
     {"autoincrement", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::MOVL, {Op::autoInc(R2), Op::reg(R1)});
          // R2 must have advanced by 4.
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R3)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R3)});
          a.instr(op::SUBL2, {Op::reg(R3), Op::reg(R2)});
          a.instr(op::CMPL, {Op::reg(R2), Op::imm(4)});
-         a.instr(op::BEQL, {Op::branch("okinc")});
+         a.instr(op::BEQL, {Op::branch(a.sym("okinc"))});
          a.instr(op::CLRL, {Op::reg(R1)}); // poison on failure
-         a.label("okinc");
+         a.bind(a.sym("okinc"));
      }},
     {"autodecrement", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::ADDL2, {Op::imm(4), Op::reg(R2)});
          a.instr(op::MOVL, {Op::autoDec(R2), Op::reg(R1)});
      }},
     {"autoincrement_deferred", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("ptr"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("ptr")), Op::reg(R2)});
          a.instr(op::MOVL, {Op::autoIncDef(R2), Op::reg(R1)});
      }},
     {"displacement_deferred", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("ptr"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("ptr")), Op::reg(R2)});
          a.instr(op::MOVL, {Op::dispDef(0, R2), Op::reg(R1)});
      }},
     {"relative", [](Assembler &a) {
-         a.instr(op::MOVL, {Op::rel("val"), Op::reg(R1)});
+         a.instr(op::MOVL, {Op::rel(a.sym("val")), Op::reg(R1)});
      }},
     {"relative_deferred", [](Assembler &a) {
-         a.instr(op::MOVL, {Op::relDef("ptr"), Op::reg(R1)});
+         a.instr(op::MOVL, {Op::relDef(a.sym("ptr")), Op::reg(R1)});
      }},
     {"indexed", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("val"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("val")), Op::reg(R2)});
          a.instr(op::SUBL2, {Op::imm(12), Op::reg(R2)});
          a.instr(op::MOVL, {Op::imm(3), Op::reg(R4)});
          a.instr(op::MOVL, {Op::disp(0, R2).idx(R4), Op::reg(R1)});
      }},
     {"indexed_deferred", [](Assembler &a) {
-         a.instr(op::MOVAB, {Op::rel("ptr"), Op::reg(R2)});
+         a.instr(op::MOVAB, {Op::rel(a.sym("ptr")), Op::reg(R2)});
          a.instr(op::MOVL, {Op::imm(1), Op::reg(R4)});
          // @-4(R2)[R4]: pointer at R2-4+... deferred: pointer value
          // then + R4*4; point one long below val.
@@ -195,14 +195,14 @@ TEST(Instr, ThreeOperandAlu)
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(100), Op::reg(R2)});
     a.instr(op::SUBL3, {Op::imm(42), Op::reg(R2), Op::reg(R3)});
-    a.instr(op::ADDL3, {Op::reg(R2), Op::reg(R3), Op::rel("out")});
+    a.instr(op::ADDL3, {Op::reg(R2), Op::reg(R3), Op::rel(a.sym("out"))});
     a.instr(op::HALT);
     a.align(4);
-    a.label("out");
+    a.bind(a.sym("out"));
     a.lword(0);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R3), 58u);
-    EXPECT_EQ(m.readLong(m.asmblr.addrOf("out")), 158u);
+    EXPECT_EQ(m.readLong(m.asmblr.addrOf(m.asmblr.sym("out"))), 158u);
 }
 
 TEST(Instr, IncDecTstClrMcomBit)
@@ -216,9 +216,9 @@ TEST(Instr, IncDecTstClrMcomBit)
     a.instr(op::MCOML, {Op::reg(R1), Op::reg(R2)});
     a.instr(op::CLRL, {Op::reg(R3)});
     a.instr(op::TSTL, {Op::reg(R3)});
-    a.instr(op::BEQL, {Op::branch("z")});
+    a.instr(op::BEQL, {Op::branch(a.sym("z"))});
     a.instr(op::MOVL, {Op::imm(999), Op::reg(R4)});
-    a.label("z");
+    a.bind(a.sym("z"));
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 6u);
@@ -243,21 +243,21 @@ TEST(Instr, MovqClrq)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::MOVQ, {Op::rel("q"), Op::reg(R2)}); // -> R2, R3
-    a.instr(op::MOVQ, {Op::reg(R2), Op::rel("out")});
+    a.instr(op::MOVQ, {Op::rel(a.sym("q")), Op::reg(R2)}); // -> R2, R3
+    a.instr(op::MOVQ, {Op::reg(R2), Op::rel(a.sym("out"))});
     a.instr(op::CLRQ, {Op::reg(R4)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("q");
+    a.bind(a.sym("q"));
     a.lword(0x11111111);
     a.lword(0x22222222);
-    a.label("out");
+    a.bind(a.sym("out"));
     a.space(8);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R2), 0x11111111u);
     EXPECT_EQ(m.gpr(R3), 0x22222222u);
-    EXPECT_EQ(m.readLong(a.addrOf("out")), 0x11111111u);
-    EXPECT_EQ(m.readLong(a.addrOf("out") + 4), 0x22222222u);
+    EXPECT_EQ(m.readLong(a.addrOf(a.sym("out"))), 0x11111111u);
+    EXPECT_EQ(m.readLong(a.addrOf(a.sym("out")) + 4), 0x22222222u);
     EXPECT_EQ(m.gpr(R4), 0u);
     EXPECT_EQ(m.gpr(R5), 0u);
 }
@@ -271,11 +271,11 @@ TEST(Instr, ExtvExtzvRegisterAndMemory)
     a.instr(op::MOVL, {Op::imm(0xF0F0A5C3), Op::reg(R2)});
     a.instr(op::EXTZV, {Op::lit(4), Op::lit(8), Op::reg(R2),
                         Op::reg(R1)});
-    a.instr(op::EXTV, {Op::lit(12), Op::lit(4), Op::rel("w"),
+    a.instr(op::EXTV, {Op::lit(12), Op::lit(4), Op::rel(a.sym("w")),
                        Op::reg(R3)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("w");
+    a.bind(a.sym("w"));
     a.lword(0x0000F000);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 0x5Cu);
@@ -287,11 +287,11 @@ TEST(Instr, ExtvSpanningTwoLongwords)
     BareMachine m;
     auto &a = m.asmblr;
     // Field at bit offset 28, 8 bits: spans w[0] and w[1].
-    a.instr(op::EXTZV, {Op::imm(28), Op::lit(8), Op::rel("w"),
+    a.instr(op::EXTZV, {Op::imm(28), Op::lit(8), Op::rel(a.sym("w")),
                         Op::reg(R1)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("w");
+    a.bind(a.sym("w"));
     a.lword(0xA0000000);
     a.lword(0x0000005B);
     ASSERT_TRUE(m.run());
@@ -307,14 +307,14 @@ TEST(Instr, InsvRegisterAndMemory)
     a.instr(op::INSV, {Op::reg(R1), Op::lit(8), Op::lit(4),
                        Op::reg(R2)});
     a.instr(op::INSV, {Op::imm(0xAB), Op::lit(4), Op::lit(8),
-                       Op::rel("w")});
+                       Op::rel(a.sym("w"))});
     a.instr(op::HALT);
     a.align(4);
-    a.label("w");
+    a.bind(a.sym("w"));
     a.lword(0);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R2), 0x500u);
-    EXPECT_EQ(m.readLong(a.addrOf("w")), 0xAB0u);
+    EXPECT_EQ(m.readLong(a.addrOf(a.sym("w"))), 0xAB0u);
 }
 
 TEST(Instr, FfsFindsFirstSet)
@@ -339,30 +339,30 @@ TEST(Instr, BitBranchesTestAndModify)
     BareMachine m;
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(0x4), Op::reg(R2)});
-    a.instr(op::BBS, {Op::lit(2), Op::reg(R2), Op::branch("was_set")});
+    a.instr(op::BBS, {Op::lit(2), Op::reg(R2), Op::branch(a.sym("was_set"))});
     a.instr(op::HALT); // wrong path
-    a.label("was_set");
+    a.bind(a.sym("was_set"));
     // BBSC: branch on set and clear it.
     a.instr(op::BBSC, {Op::lit(2), Op::reg(R2),
-                       Op::branch("clearing")});
+                       Op::branch(a.sym("clearing"))});
     a.instr(op::HALT); // wrong path
-    a.label("clearing");
+    a.bind(a.sym("clearing"));
     // Now bit 2 is clear: BBC should branch; BBSS on memory.
-    a.instr(op::BBC, {Op::lit(2), Op::reg(R2), Op::branch("go")});
+    a.instr(op::BBC, {Op::lit(2), Op::reg(R2), Op::branch(a.sym("go"))});
     a.instr(op::HALT);
-    a.label("go");
-    a.instr(op::BBSS, {Op::lit(0), Op::rel("flag"),
-                       Op::branch("bad")});
+    a.bind(a.sym("go"));
+    a.instr(op::BBSS, {Op::lit(0), Op::rel(a.sym("flag")),
+                       Op::branch(a.sym("bad"))});
     a.instr(op::MOVL, {Op::imm(1), Op::reg(R6)});
-    a.label("bad");
+    a.bind(a.sym("bad"));
     a.instr(op::HALT);
     a.align(4);
-    a.label("flag");
+    a.bind(a.sym("flag"));
     a.lword(0); // bit clear: BBSS does not branch but sets it
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R2), 0u);
     EXPECT_EQ(m.gpr(R6), 1u);
-    EXPECT_EQ(m.readLong(a.addrOf("flag")) & 1u, 1u);
+    EXPECT_EQ(m.readLong(a.addrOf(a.sym("flag"))) & 1u, 1u);
 }
 
 // ---------------- float / integer multiply-divide ----------------
@@ -391,9 +391,9 @@ TEST(Instr, FloatCompareAndConvert)
     auto &a = m.asmblr;
     a.instr(op::MOVF, {Op::imm(doubleToF(2.0)), Op::reg(R2)});
     a.instr(op::CMPF, {Op::reg(R2), Op::imm(doubleToF(3.0))});
-    a.instr(op::BLSS, {Op::branch("less")});
+    a.instr(op::BLSS, {Op::branch(a.sym("less"))});
     a.instr(op::HALT);
-    a.label("less");
+    a.bind(a.sym("less"));
     a.instr(op::CVTLF, {Op::imm(100), Op::reg(R3)});
     a.instr(op::CVTFL, {Op::reg(R3), Op::reg(R4)});
     a.instr(op::HALT);
@@ -426,27 +426,27 @@ TEST(Instr, InsqueRemque)
     BareMachine m;
     auto &a = m.asmblr;
     // Insert e1 then e2 at head; remove from head twice.
-    a.instr(op::INSQUE, {Op::rel("e1"), Op::rel("hdr")});
-    a.instr(op::INSQUE, {Op::rel("e2"), Op::rel("hdr")});
-    a.instr(op::REMQUE, {Op::relDef("hdr"), Op::reg(R1)});
-    a.instr(op::REMQUE, {Op::relDef("hdr"), Op::reg(R2)});
+    a.instr(op::INSQUE, {Op::rel(a.sym("e1")), Op::rel(a.sym("hdr"))});
+    a.instr(op::INSQUE, {Op::rel(a.sym("e2")), Op::rel(a.sym("hdr"))});
+    a.instr(op::REMQUE, {Op::relDef(a.sym("hdr")), Op::reg(R1)});
+    a.instr(op::REMQUE, {Op::relDef(a.sym("hdr")), Op::reg(R2)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("hdr");
-    a.addrLong("hdr");
-    a.addrLong("hdr");
-    a.label("e1");
+    a.bind(a.sym("hdr"));
+    a.addrLong(a.sym("hdr"));
+    a.addrLong(a.sym("hdr"));
+    a.bind(a.sym("e1"));
     a.lword(0);
     a.lword(0);
-    a.label("e2");
+    a.bind(a.sym("e2"));
     a.lword(0);
     a.lword(0);
     ASSERT_TRUE(m.run());
-    EXPECT_EQ(m.gpr(R1), a.addrOf("e2")); // LIFO at head
-    EXPECT_EQ(m.gpr(R2), a.addrOf("e1"));
+    EXPECT_EQ(m.gpr(R1), a.addrOf(a.sym("e2"))); // LIFO at head
+    EXPECT_EQ(m.gpr(R2), a.addrOf(a.sym("e1")));
     // Queue empty again: header self-linked.
-    EXPECT_EQ(m.readLong(a.addrOf("hdr")), a.addrOf("hdr"));
-    EXPECT_EQ(m.readLong(a.addrOf("hdr") + 4), a.addrOf("hdr"));
+    EXPECT_EQ(m.readLong(a.addrOf(a.sym("hdr"))), a.addrOf(a.sym("hdr")));
+    EXPECT_EQ(m.readLong(a.addrOf(a.sym("hdr")) + 4), a.addrOf(a.sym("hdr")));
 }
 
 // ---------------- character instructions ----------------
@@ -455,17 +455,17 @@ TEST(Instr, Movc5TruncateAndFill)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::MOVC5, {Op::imm(4), Op::rel("src"), Op::lit(42),
-                        Op::imm(8), Op::rel("dst")});
+    a.instr(op::MOVC5, {Op::imm(4), Op::rel(a.sym("src")), Op::lit(42),
+                        Op::imm(8), Op::rel(a.sym("dst"))});
     a.instr(op::HALT);
     a.align(4);
-    a.label("src");
+    a.bind(a.sym("src"));
     a.ascii("ABCDEFGH");
-    a.label("dst");
+    a.bind(a.sym("dst"));
     a.space(8, 0xFF);
     ASSERT_TRUE(m.run());
     auto &phys = m.cpu->mem().phys();
-    uint32_t dst = a.addrOf("dst");
+    uint32_t dst = a.addrOf(a.sym("dst"));
     EXPECT_EQ(phys.readByte(dst + 0), 'A');
     EXPECT_EQ(phys.readByte(dst + 3), 'D');
     for (unsigned i = 4; i < 8; ++i)
@@ -476,22 +476,22 @@ TEST(Instr, Cmpc3EqualAndUnequal)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::CMPC3, {Op::imm(5), Op::rel("s1"), Op::rel("s2")});
-    a.instr(op::BEQL, {Op::branch("eq")});
+    a.instr(op::CMPC3, {Op::imm(5), Op::rel(a.sym("s1")), Op::rel(a.sym("s2"))});
+    a.instr(op::BEQL, {Op::branch(a.sym("eq"))});
     a.instr(op::HALT);
-    a.label("eq");
-    a.instr(op::CMPC3, {Op::imm(5), Op::rel("s1"), Op::rel("s3")});
-    a.instr(op::BNEQ, {Op::branch("ne")});
+    a.bind(a.sym("eq"));
+    a.instr(op::CMPC3, {Op::imm(5), Op::rel(a.sym("s1")), Op::rel(a.sym("s3"))});
+    a.instr(op::BNEQ, {Op::branch(a.sym("ne"))});
     a.instr(op::HALT);
-    a.label("ne");
+    a.bind(a.sym("ne"));
     a.instr(op::MOVL, {Op::imm(1), Op::reg(R6)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("s1");
+    a.bind(a.sym("s1"));
     a.ascii("hello");
-    a.label("s2");
+    a.bind(a.sym("s2"));
     a.ascii("hello");
-    a.label("s3");
+    a.bind(a.sym("s3"));
     a.ascii("help!");
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R6), 1u);
@@ -501,27 +501,27 @@ TEST(Instr, LoccSkpcScancSpanc)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::LOCC, {Op::lit(' '), Op::imm(11), Op::rel("s")});
+    a.instr(op::LOCC, {Op::lit(' '), Op::imm(11), Op::rel(a.sym("s"))});
     a.instr(op::MOVL, {Op::reg(R0), Op::reg(R6)}); // remaining
     a.instr(op::MOVL, {Op::reg(R1), Op::reg(R7)}); // location
-    a.instr(op::SKPC, {Op::imm('a'), Op::imm(4), Op::rel("aaa")});
+    a.instr(op::SKPC, {Op::imm('a'), Op::imm(4), Op::rel(a.sym("aaa"))});
     a.instr(op::MOVL, {Op::reg(R0), Op::reg(R8)});
-    a.instr(op::SCANC, {Op::imm(11), Op::rel("s"), Op::rel("tbl"),
+    a.instr(op::SCANC, {Op::imm(11), Op::rel(a.sym("s")), Op::rel(a.sym("tbl")),
                         Op::lit(1)});
     a.instr(op::MOVL, {Op::reg(R0), Op::reg(R9)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("s");
+    a.bind(a.sym("s"));
     a.ascii("hello world");
-    a.label("aaa");
+    a.bind(a.sym("aaa"));
     a.ascii("aaab");
     a.align(4);
-    a.label("tbl");
+    a.bind(a.sym("tbl"));
     for (unsigned i = 0; i < 256; ++i)
         a.byte(i == 'w' ? 1 : 0);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R6), 6u); // " world" remains at the blank
-    EXPECT_EQ(m.gpr(R7), a.addrOf("s") + 5);
+    EXPECT_EQ(m.gpr(R7), a.addrOf(a.sym("s")) + 5);
     EXPECT_EQ(m.gpr(R8), 1u); // 'b' is the 4th char
     EXPECT_EQ(m.gpr(R9), 5u); // "world" remains at 'w'
 }
@@ -532,24 +532,24 @@ TEST(Instr, DecimalAddSubCompare)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::ADDP4, {Op::imm(9), Op::rel("p1"), Op::imm(9),
-                        Op::rel("p2")});
-    a.instr(op::CMPP3, {Op::imm(9), Op::rel("p2"), Op::rel("p3")});
-    a.instr(op::BEQL, {Op::branch("ok")});
+    a.instr(op::ADDP4, {Op::imm(9), Op::rel(a.sym("p1")), Op::imm(9),
+                        Op::rel(a.sym("p2"))});
+    a.instr(op::CMPP3, {Op::imm(9), Op::rel(a.sym("p2")), Op::rel(a.sym("p3"))});
+    a.instr(op::BEQL, {Op::branch(a.sym("ok"))});
     a.instr(op::HALT);
-    a.label("ok");
-    a.instr(op::SUBP4, {Op::imm(9), Op::rel("p1"), Op::imm(9),
-                        Op::rel("p2")});
+    a.bind(a.sym("ok"));
+    a.instr(op::SUBP4, {Op::imm(9), Op::rel(a.sym("p1")), Op::imm(9),
+                        Op::rel(a.sym("p2"))});
     a.instr(op::MOVL, {Op::imm(1), Op::reg(R6)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("p1");
+    a.bind(a.sym("p1"));
     for (uint8_t b : intToPacked(111, 9))
         a.byte(b);
-    a.label("p2");
+    a.bind(a.sym("p2"));
     for (uint8_t b : intToPacked(222, 9))
         a.byte(b);
-    a.label("p3");
+    a.bind(a.sym("p3"));
     for (uint8_t b : intToPacked(333, 9))
         a.byte(b);
     ASSERT_TRUE(m.run());
@@ -557,7 +557,7 @@ TEST(Instr, DecimalAddSubCompare)
     // p2 is back to 222 after the subtract.
     std::vector<uint8_t> p2;
     for (unsigned i = 0; i < packedBytes(9); ++i)
-        p2.push_back(m.cpu->mem().phys().readByte(a.addrOf("p2") + i));
+        p2.push_back(m.cpu->mem().phys().readByte(a.addrOf(a.sym("p2")) + i));
     EXPECT_EQ(packedToInt(p2, 9), 222);
 }
 
@@ -565,17 +565,17 @@ TEST(Instr, DecimalConvertAndShift)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::CVTLP, {Op::imm(12345), Op::imm(9), Op::rel("p")});
-    a.instr(op::CVTPL, {Op::imm(9), Op::rel("p"), Op::reg(R6)});
+    a.instr(op::CVTLP, {Op::imm(12345), Op::imm(9), Op::rel(a.sym("p"))});
+    a.instr(op::CVTPL, {Op::imm(9), Op::rel(a.sym("p")), Op::reg(R6)});
     // ASHP by +2: multiply by 100.
-    a.instr(op::ASHP, {Op::lit(2), Op::imm(9), Op::rel("p"),
-                       Op::lit(0), Op::imm(9), Op::rel("p2")});
-    a.instr(op::CVTPL, {Op::imm(9), Op::rel("p2"), Op::reg(R7)});
+    a.instr(op::ASHP, {Op::lit(2), Op::imm(9), Op::rel(a.sym("p")),
+                       Op::lit(0), Op::imm(9), Op::rel(a.sym("p2"))});
+    a.instr(op::CVTPL, {Op::imm(9), Op::rel(a.sym("p2")), Op::reg(R7)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("p");
+    a.bind(a.sym("p"));
     a.space(16);
-    a.label("p2");
+    a.bind(a.sym("p2"));
     a.space(16);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R6), 12345u);
@@ -588,15 +588,15 @@ TEST(Instr, CallgWithArgList)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::CALLG, {Op::rel("args"), Op::rel("proc")});
+    a.instr(op::CALLG, {Op::rel(a.sym("args")), Op::rel(a.sym("proc"))});
     a.instr(op::HALT);
-    a.label("proc");
+    a.bind(a.sym("proc"));
     a.entryMask(0);
     a.instr(op::MOVL, {Op::disp(4, AP), Op::reg(R6)});
     a.instr(op::ADDL2, {Op::disp(8, AP), Op::reg(R6)});
     a.instr(op::RET);
     a.align(4);
-    a.label("args");
+    a.bind(a.sym("args"));
     a.lword(2); // argument count
     a.lword(30);
     a.lword(12);
@@ -611,15 +611,15 @@ TEST(Instr, NestedCallsPreserveRegisters)
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(0x1111), Op::reg(R2)});
     a.instr(op::MOVL, {Op::imm(0x2222), Op::reg(R3)});
-    a.instr(op::CALLS, {Op::lit(0), Op::rel("outer")});
+    a.instr(op::CALLS, {Op::lit(0), Op::rel(a.sym("outer"))});
     a.instr(op::HALT);
-    a.label("outer");
+    a.bind(a.sym("outer"));
     a.entryMask((1u << 2) | (1u << 3));
     a.instr(op::MOVL, {Op::imm(7), Op::reg(R2)});
-    a.instr(op::CALLS, {Op::lit(0), Op::rel("inner")});
+    a.instr(op::CALLS, {Op::lit(0), Op::rel(a.sym("inner"))});
     a.instr(op::MOVL, {Op::reg(R2), Op::reg(R7)}); // still 7?
     a.instr(op::RET);
-    a.label("inner");
+    a.bind(a.sym("inner"));
     a.entryMask(1u << 2);
     a.instr(op::MOVL, {Op::imm(99), Op::reg(R2)});
     a.instr(op::RET);
@@ -657,17 +657,17 @@ TEST(Instr, AoblssAobleqAcbl)
     auto &a = m.asmblr;
     a.instr(op::CLRL, {Op::reg(R1)});
     a.instr(op::CLRL, {Op::reg(R2)});
-    a.label("l1");
+    a.bind(a.sym("l1"));
     a.instr(op::INCL, {Op::reg(R1)});
     a.instr(op::AOBLSS, {Op::imm(5), Op::reg(R2),
-                         Op::branch("l1")});
+                         Op::branch(a.sym("l1"))});
     // ACBL with step 2 up to 10.
     a.instr(op::CLRL, {Op::reg(R3)});
     a.instr(op::CLRL, {Op::reg(R4)});
-    a.label("l2");
+    a.bind(a.sym("l2"));
     a.instr(op::INCL, {Op::reg(R4)});
     a.instr(op::ACBL, {Op::imm(10), Op::imm(2), Op::reg(R3),
-                       Op::branch("l2")});
+                       Op::branch(a.sym("l2"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 5u);
@@ -681,12 +681,12 @@ TEST(Instr, CaseFallThrough)
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(9), Op::reg(R0)}); // beyond limit
     a.instr(op::CASEL, {Op::reg(R0), Op::lit(0), Op::lit(1)});
-    a.caseTable({"c0", "c1"});
+    a.caseTable({a.sym("c0"), a.sym("c1")});
     a.instr(op::MOVL, {Op::imm(77), Op::reg(R1)}); // fall-through
     a.instr(op::HALT);
-    a.label("c0");
+    a.bind(a.sym("c0"));
     a.instr(op::HALT);
-    a.label("c1");
+    a.bind(a.sym("c1"));
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 77u);
@@ -696,13 +696,13 @@ TEST(Instr, JmpAndJsbThroughMemory)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::JSB, {Op::rel("sub")});
-    a.instr(op::JMP, {Op::rel("end")});
+    a.instr(op::JSB, {Op::rel(a.sym("sub"))});
+    a.instr(op::JMP, {Op::rel(a.sym("end"))});
     a.instr(op::HALT); // skipped
-    a.label("sub");
+    a.bind(a.sym("sub"));
     a.instr(op::MOVL, {Op::imm(3), Op::reg(R6)});
     a.instr(op::RSB);
-    a.label("end");
+    a.bind(a.sym("end"));
     a.instr(op::MOVL, {Op::imm(4), Op::reg(R7)});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
@@ -716,20 +716,20 @@ TEST(Instr, UnalignedLongReadWrite)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::MOVAB, {Op::rel("buf"), Op::reg(R2)});
+    a.instr(op::MOVAB, {Op::rel(a.sym("buf")), Op::reg(R2)});
     a.instr(op::MOVL, {Op::imm(0xCAFEBABE), Op::disp(1, R2)});
     a.instr(op::MOVL, {Op::disp(1, R2), Op::reg(R1)});
     a.instr(op::HALT);
     a.align(4);
-    a.label("buf");
+    a.bind(a.sym("buf"));
     a.space(12);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(m.gpr(R1), 0xCAFEBABEu);
     EXPECT_EQ(m.cpu->hw().unalignedRefs, 2u);
     // Byte-precise placement.
-    EXPECT_EQ(m.cpu->mem().phys().readByte(a.addrOf("buf") + 1),
+    EXPECT_EQ(m.cpu->mem().phys().readByte(a.addrOf(a.sym("buf")) + 1),
               0xBEu);
-    EXPECT_EQ(m.cpu->mem().phys().readByte(a.addrOf("buf") + 4),
+    EXPECT_EQ(m.cpu->mem().phys().readByte(a.addrOf(a.sym("buf")) + 4),
               0xCAu);
 }
 
@@ -737,15 +737,15 @@ TEST(Instr, MovabPushab)
 {
     BareMachine m;
     auto &a = m.asmblr;
-    a.instr(op::MOVAB, {Op::rel("spot"), Op::reg(R1)});
-    a.instr(op::PUSHAB, {Op::rel("spot")});
+    a.instr(op::MOVAB, {Op::rel(a.sym("spot")), Op::reg(R1)});
+    a.instr(op::PUSHAB, {Op::rel(a.sym("spot"))});
     a.instr(op::MOVL, {Op::autoInc(SP), Op::reg(R2)});
     a.instr(op::HALT);
-    a.label("spot");
+    a.bind(a.sym("spot"));
     a.byte(0);
     ASSERT_TRUE(m.run());
-    EXPECT_EQ(m.gpr(R1), a.addrOf("spot"));
-    EXPECT_EQ(m.gpr(R2), a.addrOf("spot"));
+    EXPECT_EQ(m.gpr(R1), a.addrOf(a.sym("spot")));
+    EXPECT_EQ(m.gpr(R2), a.addrOf(a.sym("spot")));
 }
 
 } // namespace vax::test

@@ -25,7 +25,7 @@ namespace
 
 /** A safe operand for the given access/type in the sweep harness. */
 Operand
-operandFor(const OperandDef &od, unsigned index)
+operandFor(Assembler &a, const OperandDef &od, unsigned index)
 {
     switch (od.access) {
       case Access::Read:
@@ -33,7 +33,7 @@ operandFor(const OperandDef &od, unsigned index)
           case DataType::FFloat:
             return Op::imm(doubleToF(2.0 + index));
           case DataType::Quad:
-            return Op::rel("qdata");
+            return Op::rel(a.sym("qdata"));
           case DataType::Byte:
           case DataType::Word:
           case DataType::Long:
@@ -47,11 +47,11 @@ operandFor(const OperandDef &od, unsigned index)
       case Access::Write:
         return od.type == DataType::Quad ? Op::reg(R2) : Op::reg(R7);
       case Access::Address:
-        return Op::rel("adata");
+        return Op::rel(a.sym("adata"));
       case Access::Field:
         return Op::reg(R8);
       case Access::Branch:
-        return Op::branch("next");
+        return Op::branch(a.sym("next"));
     }
     return Op::reg(R6);
 }
@@ -88,19 +88,19 @@ TEST_P(OpcodeSweep, ExecutesCleanly)
 
     std::vector<Operand> ops;
     for (unsigned i = 0; i < info.numOperands; ++i)
-        ops.push_back(operandFor(info.operands[i], i));
+        ops.push_back(operandFor(a, info.operands[i], i));
 
     // Flows that interpret their address operands need curated ones.
     if (info.flow == ExecFlow::CallG || info.flow == ExecFlow::CallS)
-        ops.back() = Op::rel("proc");
+        ops.back() = Op::rel(a.sym("proc"));
     if (info.flow == ExecFlow::Jmp || info.flow == ExecFlow::Jsb)
-        ops[0] = Op::rel("next");
+        ops[0] = Op::rel(a.sym("next"));
     if (info.flow == ExecFlow::InsQue)
-        ops = {Op::rel("qent"), Op::rel("qhdr2")};
+        ops = {Op::rel(a.sym("qent")), Op::rel(a.sym("qhdr2"))};
     if (info.flow == ExecFlow::RemQue) {
         // Insert first so there is something valid to remove.
-        a.instr(op::INSQUE, {Op::rel("qent"), Op::rel("qhdr2")});
-        ops[0] = Op::rel("qent");
+        a.instr(op::INSQUE, {Op::rel(a.sym("qent")), Op::rel(a.sym("qhdr2"))});
+        ops[0] = Op::rel(a.sym("qent"));
     }
 
     VirtAddr test_pc = a.here(); // the instruction under test
@@ -108,27 +108,27 @@ TEST_P(OpcodeSweep, ExecutesCleanly)
     if (info.flow == ExecFlow::Case) {
         // Selector 3, base 4 -> out of range: falls through past the
         // empty table region.
-        a.caseTable({"next", "next"});
+        a.caseTable({a.sym("next"), a.sym("next")});
     }
-    a.label("next");
+    a.bind(a.sym("next"));
     a.instr(op::HALT);
 
-    a.label("proc");
+    a.bind(a.sym("proc"));
     a.entryMask(1u << 2);
     a.instr(op::RET);
 
     a.align(4);
-    a.label("adata");
+    a.bind(a.sym("adata"));
     for (uint8_t b : intToPacked(42, 12)) // packed for DECIMAL 'ab'
         a.byte(b);
     a.space(64 - packedBytes(12), 'x');   // string bytes for CHARACTER
-    a.label("qdata");
+    a.bind(a.sym("qdata"));
     a.lword(0x11111111);
     a.lword(0x22222222);
-    a.label("qhdr2");
-    a.addrLong("qhdr2");
-    a.addrLong("qhdr2");
-    a.label("qent");
+    a.bind(a.sym("qhdr2"));
+    a.addrLong(a.sym("qhdr2"));
+    a.addrLong(a.sym("qhdr2"));
+    a.bind(a.sym("qent"));
     a.lword(0);
     a.lword(0);
 

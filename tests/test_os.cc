@@ -27,35 +27,35 @@ UserProgram
 makeUserProgram(unsigned terminal, bool with_wait)
 {
     Assembler a(0);
-    a.instr(op::BRW, {Op::branch("entry")});
+    a.instr(op::BRW, {Op::branch(a.sym("entry"))});
     a.align(4);
-    a.label("counter");
+    a.bind(a.sym("counter"));
     a.lword(0);
-    a.label("buf");
+    a.bind(a.sym("buf"));
     a.space(32);
-    a.label("entry");
-    a.label("loop");
+    a.bind(a.sym("entry"));
+    a.bind(a.sym("loop"));
     // Visible progress marker.
-    a.instr(op::INCL, {Op::rel("counter")});
+    a.instr(op::INCL, {Op::rel(a.sym("counter"))});
     // Some computation.
     a.instr(op::MOVL, {Op::imm(50), Op::reg(R3)});
     a.instr(op::CLRL, {Op::reg(R6)});
-    a.label("inner");
+    a.bind(a.sym("inner"));
     a.instr(op::ADDL2, {Op::reg(R3), Op::reg(R6)});
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("inner")});
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("inner"))});
     // Services.
     a.instr(op::CHMK, {Op::imm(abi::sysGetTime)});
-    a.instr(op::MOVAB, {Op::rel("buf"), Op::reg(R1)});
+    a.instr(op::MOVAB, {Op::rel(a.sym("buf")), Op::reg(R1)});
     a.instr(op::CHMK, {Op::imm(abi::sysGets)});
-    a.instr(op::MOVAB, {Op::rel("buf"), Op::reg(R1)});
+    a.instr(op::MOVAB, {Op::rel(a.sym("buf")), Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(16), Op::reg(R2)});
     a.instr(op::CHMK, {Op::imm(abi::sysPuts)});
     if (with_wait)
         a.instr(op::CHMK, {Op::imm(abi::sysWaitTerm)});
-    a.instr(op::BRW, {Op::branch("loop")});
+    a.instr(op::BRW, {Op::branch(a.sym("loop"))});
 
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
+    prog.entry = a.addrOf(a.sym("entry"));
     prog.image = a.finish();
     prog.terminalId = terminal;
     return prog;

@@ -48,21 +48,21 @@ TEST(OsServices, GetsDeliversCannedLine)
     OsRig rig;
     Assembler a(0);
     a.lword(0); // keep address 0 free
-    a.label("buf");
+    a.bind(a.sym("buf"));
     a.space(32);
-    a.label("done");
+    a.bind(a.sym("done"));
     a.lword(0);
-    a.label("entry");
-    a.instr(op::MOVAB, {Op::rel("buf"), Op::reg(R1)});
+    a.bind(a.sym("entry"));
+    a.instr(op::MOVAB, {Op::rel(a.sym("buf")), Op::reg(R1)});
     a.instr(op::CHMK, {Op::imm(abi::sysGets)});
-    a.instr(op::MOVL, {Op::imm(1), Op::rel("done")});
-    a.label("spin");
-    a.instr(op::BRB, {Op::branch("spin")});
+    a.instr(op::MOVL, {Op::imm(1), Op::rel(a.sym("done"))});
+    a.bind(a.sym("spin"));
+    a.instr(op::BRB, {Op::branch(a.sym("spin"))});
 
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
-    uint32_t buf = a.addrOf("buf");
-    uint32_t done = a.addrOf("done");
+    prog.entry = a.addrOf(a.sym("entry"));
+    uint32_t buf = a.addrOf(a.sym("buf"));
+    uint32_t done = a.addrOf(a.sym("done"));
     prog.image = a.finish();
     rig.os.addProcess(prog);
     rig.os.boot();
@@ -83,17 +83,17 @@ TEST(OsServices, PutsNotifiesTerminal)
     OsRig rig;
     Assembler a(0);
     a.lword(0);
-    a.label("msg");
+    a.bind(a.sym("msg"));
     a.ascii("hello operator$pad-pad-pad-pad--");
-    a.label("entry");
-    a.instr(op::MOVAB, {Op::rel("msg"), Op::reg(R1)});
+    a.bind(a.sym("entry"));
+    a.instr(op::MOVAB, {Op::rel(a.sym("msg")), Op::reg(R1)});
     a.instr(op::MOVL, {Op::imm(32), Op::reg(R2)});
     a.instr(op::CHMK, {Op::imm(abi::sysPuts)});
-    a.label("spin");
-    a.instr(op::BRB, {Op::branch("spin")});
+    a.bind(a.sym("spin"));
+    a.instr(op::BRB, {Op::branch(a.sym("spin"))});
 
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
+    prog.entry = a.addrOf(a.sym("entry"));
     prog.image = a.finish();
     rig.os.addProcess(prog);
 
@@ -118,17 +118,17 @@ TEST(OsServices, ExitRestartsImage)
     OsRig rig;
     Assembler a(0);
     a.lword(0);
-    a.label("count");
+    a.bind(a.sym("count"));
     a.lword(0);
-    a.label("entry");
-    a.instr(op::INCL, {Op::rel("count")});
+    a.bind(a.sym("entry"));
+    a.instr(op::INCL, {Op::rel(a.sym("count"))});
     a.instr(op::CHMK, {Op::imm(abi::sysExit)});
     // Never reached: EXIT restarts at entry.
     a.instr(op::HALT);
 
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
-    uint32_t count = a.addrOf("count");
+    prog.entry = a.addrOf(a.sym("entry"));
+    uint32_t count = a.addrOf(a.sym("count"));
     prog.image = a.finish();
     rig.os.addProcess(prog);
     rig.os.boot();
@@ -143,11 +143,11 @@ TEST(OsServices, MailboxOverflowDropsLines)
     OsRig rig;
     Assembler a(0);
     a.lword(0);
-    a.label("entry");
-    a.label("spin");
-    a.instr(op::BRB, {Op::branch("spin")});
+    a.bind(a.sym("entry"));
+    a.bind(a.sym("spin"));
+    a.instr(op::BRB, {Op::branch(a.sym("spin"))});
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
+    prog.entry = a.addrOf(a.sym("entry"));
     prog.image = a.finish();
     rig.os.addProcess(prog);
     rig.os.boot();
@@ -170,16 +170,16 @@ TEST(OsServices, ManyProcessesTimeshare)
     for (unsigned p = 0; p < nproc; ++p) {
         Assembler a(0);
         a.lword(0);
-        a.label("count");
+        a.bind(a.sym("count"));
         a.lword(0);
-        a.label("entry");
-        a.label("loop");
-        a.instr(op::INCL, {Op::rel("count")});
-        a.instr(op::BRB, {Op::branch("loop")});
+        a.bind(a.sym("entry"));
+        a.bind(a.sym("loop"));
+        a.instr(op::INCL, {Op::rel(a.sym("count"))});
+        a.instr(op::BRB, {Op::branch(a.sym("loop"))});
         UserProgram prog;
-        prog.entry = a.addrOf("entry");
+        prog.entry = a.addrOf(a.sym("entry"));
         prog.terminalId = p;
-        counter_va[p] = a.addrOf("count");
+        counter_va[p] = a.addrOf(a.sym("count"));
         prog.image = a.finish();
         rig.os.addProcess(prog);
     }
@@ -197,11 +197,11 @@ TEST(OsServices, WaitingMachineIdlesInNull)
     OsRig rig;
     Assembler a(0);
     a.lword(0);
-    a.label("entry");
+    a.bind(a.sym("entry"));
     a.instr(op::CHMK, {Op::imm(abi::sysWaitTerm)});
-    a.instr(op::BRB, {Op::branch("entry")});
+    a.instr(op::BRB, {Op::branch(a.sym("entry"))});
     UserProgram prog;
-    prog.entry = a.addrOf("entry");
+    prog.entry = a.addrOf(a.sym("entry"));
     prog.image = a.finish();
     rig.os.addProcess(prog);
     rig.os.boot();

@@ -153,8 +153,8 @@ TEST(StatsRegistry, MachineRegistrationCoversSubsystems)
     BareMachine m;
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Operand::imm(40), Operand::reg(R3)});
-    a.label("l");
-    a.instr(op::SOBGTR, {Operand::reg(R3), Operand::branch("l")});
+    a.bind(a.sym("l"));
+    a.instr(op::SOBGTR, {Operand::reg(R3), Operand::branch(a.sym("l"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
 

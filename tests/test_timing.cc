@@ -103,12 +103,12 @@ TEST(Timing, MonitorIsPassive)
     auto build = []() {
         auto a = std::make_unique<Assembler>(0x1000);
         a->instr(op::MOVL, {Op::imm(30), Op::reg(R3)});
-        a->label("l");
-        a->instr(op::ADDL2, {Op::rel("d"), Op::reg(R1)});
-        a->instr(op::SOBGTR, {Op::reg(R3), Op::branch("l")});
+        a->bind(a->sym("l"));
+        a->instr(op::ADDL2, {Op::rel(a->sym("d")), Op::reg(R1)});
+        a->instr(op::SOBGTR, {Op::reg(R3), Op::branch(a->sym("l"))});
         a->instr(op::HALT);
         a->align(4);
-        a->label("d");
+        a->bind(a->sym("d"));
         a->lword(3);
         return a;
     };
@@ -128,19 +128,19 @@ TEST(Timing, EveryCycleIsClassified)
     auto &a = m.asmblr;
     // R7 survives MOVC3 (which clobbers R0-R5).
     a.instr(op::MOVL, {Op::imm(20), Op::reg(R7)});
-    a.label("l");
-    a.instr(op::MOVC3, {Op::imm(24), Op::rel("s"), Op::rel("d")});
-    a.instr(op::CALLS, {Op::lit(0), Op::rel("p")});
-    a.instr(op::SOBGTR, {Op::reg(R7), Op::branch("l")});
+    a.bind(a.sym("l"));
+    a.instr(op::MOVC3, {Op::imm(24), Op::rel(a.sym("s")), Op::rel(a.sym("d"))});
+    a.instr(op::CALLS, {Op::lit(0), Op::rel(a.sym("p"))});
+    a.instr(op::SOBGTR, {Op::reg(R7), Op::branch(a.sym("l"))});
     a.instr(op::HALT);
-    a.label("p");
+    a.bind(a.sym("p"));
     a.entryMask(1u << 2 | 1u << 3 | 1u << 4);
     a.instr(op::MULL2, {Op::imm(17), Op::reg(R2)});
     a.instr(op::RET);
     a.align(4);
-    a.label("s");
+    a.bind(a.sym("s"));
     a.ascii("abcdefghijklmnopqrstuvwx");
-    a.label("d");
+    a.bind(a.sym("d"));
     a.space(24);
     ASSERT_TRUE(m.run());
 
@@ -177,10 +177,10 @@ TEST(Timing, ReadCountsMatchHardware)
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(40), Op::reg(R3)});
     a.instr(op::MOVL, {Op::imm(0x9000), Op::reg(R2)});
-    a.label("l");
+    a.bind(a.sym("l"));
     a.instr(op::MOVL, {Op::regDef(R2), Op::reg(R1)});
     a.instr(op::MOVL, {Op::reg(R1), Op::disp(0x80, R2)});
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("l")});
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("l"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     HistogramAnalyzer an(m.cpu->controlStore(), m.monitor.histogram());
@@ -205,8 +205,8 @@ TEST(Timing, TakenBranchCostsTwoExtraCycles)
         a->instr(op::TSTL, {Op::reg(R1)});
         // BNEQ taken, BEQL not taken (same shape).
         a->instr(taken ? op::BNEQ : op::BEQL,
-                 {Op::branch("next")});
-        a->label("next");
+                 {Op::branch(a->sym("next"))});
+        a->bind(a->sym("next"));
         a->instr(op::HALT);
         return a;
     };

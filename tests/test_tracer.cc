@@ -42,8 +42,8 @@ TEST(Tracer, RingIsBounded)
     tracer.attach(*m.cpu);
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(50), Op::reg(R3)});
-    a.label("l");
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("l")});
+    a.bind(a.sym("l"));
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("l"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(tracer.total(), 52u);
@@ -77,9 +77,9 @@ TEST(Tracer, AgreesWithHistogram)
     tracer.attach(*m.cpu);
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(200), Op::reg(R3)});
-    a.label("l");
+    a.bind(a.sym("l"));
     a.instr(op::ADDL2, {Op::lit(1), Op::reg(R1)});
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("l")});
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("l"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     HistogramAnalyzer an(m.cpu->controlStore(), m.monitor.histogram());
@@ -93,8 +93,8 @@ TEST(Tracer, ReportsDroppedRecords)
     tracer.attach(*m.cpu);
     auto &a = m.asmblr;
     a.instr(op::MOVL, {Op::imm(50), Op::reg(R3)});
-    a.label("l");
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("l")});
+    a.bind(a.sym("l"));
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("l"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.run());
     EXPECT_EQ(tracer.dropped(), tracer.total() - 8);

@@ -116,10 +116,10 @@ TEST(VirtualMemory, TbMissCountsMatchHistogramMarks)
     // Touch several distinct P0 pages.
     a.instr(op::MOVL, {Op::imm(0), Op::reg(R2)});
     a.instr(op::MOVL, {Op::imm(8), Op::reg(R3)});
-    a.label("l");
+    a.bind(a.sym("l"));
     a.instr(op::MOVL, {Op::disp(0, R2).idx(R0), Op::reg(R1)});
     a.instr(op::ADDL2, {Op::imm(512), Op::reg(R2)});
-    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch("l")});
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("l"))});
     a.instr(op::HALT);
     ASSERT_TRUE(m.runKernel(a));
     HistogramAnalyzer an(m.cpu.controlStore(), m.monitor.histogram());
