@@ -93,32 +93,6 @@ BM_CycleThroughputMemory(benchmark::State &state)
 }
 BENCHMARK(BM_CycleThroughputMemory);
 
-/** Legacy type-erased dispatch, for in-file before/after A-B runs. */
-void
-BM_CycleThroughputLegacy(benchmark::State &state)
-{
-    SimConfig cfg;
-    cfg.legacyDispatch = true;
-    Cpu780 cpu(cfg);
-    cpu.mem().setMapEnable(false);
-    Assembler a(0x1000);
-    Label loop = a.newLabel();
-    a.bind(loop);
-    for (int i = 0; i < 16; ++i)
-        a.instr(op::ADDL2, {Operand::lit(1), Operand::reg(R1)});
-    a.instr(op::BRW, {Operand::branch(loop)});
-    cpu.mem().phys().load(a.base(), a.finish());
-    cpu.reset(a.base());
-    cpu.ebox().setGpr(SP, 0x8000);
-
-    for (auto _ : state) {
-        cpu.tick();
-        benchmark::DoNotOptimize(cpu.cycles());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CycleThroughputLegacy);
-
 /**
  * Cycle cost with the UPC monitor attached (should be ~free).  The
  * monitor must actually observe every iterated cycle -- otherwise the

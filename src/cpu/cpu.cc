@@ -34,8 +34,6 @@ Cpu780::Cpu780(const SimConfig &cfg)
                   lint.diags.size(), lint.text().c_str());
         ebox_->setFlowCheck(true);
     }
-    if (cfg_.legacyDispatch)
-        ebox_->setLegacyDispatch(true);
 }
 
 Cpu780::~Cpu780()

@@ -48,15 +48,6 @@ struct SimConfig
      * simulated.
      */
     bool strict = false;
-    /**
-     * Run the legacy std::function microword engine instead of the
-     * decoded dispatch table (A/B equivalence runs; see
-     * tests/test_dispatch_equiv.cc).  Like strict, not part of the
-     * snapshot fingerprint: it selects an engine, never a different
-     * simulation -- which is exactly what the A/B checkpoint test
-     * relies on.
-     */
-    bool legacyDispatch = false;
 };
 
 class Cpu780

@@ -313,14 +313,10 @@ Ebox::runMicroword()
     reissuePending_ = false;
     trapRetSatisfied_ = false;
 
-    if (!legacyDispatch_) [[likely]] {
-        // Decoded dispatch: one predictable indirect call through the
-        // flat table, operands pre-packed at ROM build time.
-        const DecodedWord &d = dtab_[upc_];
-        d.fn(*this, d.ops);
-    } else {
-        cs_.word(upc_).sem(*this);
-    }
+    // One predictable indirect call through the flat table, operands
+    // pre-packed at ROM build time.
+    const DecodedWord &d = dtab_[upc_];
+    d.fn(*this, d.ops);
 
     if (ibFailed_ || memTrapped_ || reissuePending_) [[unlikely]] {
         microwordEvent();
@@ -328,7 +324,7 @@ Ebox::runMicroword()
     }
 
     if (flowCheck_) [[unlikely]]
-        checkDeclaredFlow(cs_.word(upc_));
+        checkDeclaredFlow(cs_.annotation(upc_));
 
     if (memIssued_ && memStatus_ == MemStatus::Stall) {
         afterMemIsEnd_ = pendingEnd_;
@@ -394,7 +390,7 @@ Ebox::microwordEvent()
 }
 
 void
-Ebox::checkDeclaredFlow(const MicroWord &w)
+Ebox::checkDeclaredFlow(const UAnnotation &ann)
 {
     if (!cs_.flowsResolved())
         return;
@@ -407,34 +403,34 @@ Ebox::checkDeclaredFlow(const MicroWord &w)
     if (memIssued_) {
         bool is_write = curOp_.kind == PendingMemOp::Kind::Write;
         UMemKind want = is_write ? UMemKind::Write : UMemKind::Read;
-        if (w.ann.mem != want)
+        if (ann.mem != want)
             panic("microword %s (upc=%u) issued a %s but is annotated "
-                  "mem=%u", w.ann.name, at,
+                  "mem=%u", ann.name, at,
                   is_write ? "write" : "read",
-                  static_cast<unsigned>(w.ann.mem));
+                  static_cast<unsigned>(ann.mem));
     }
     if (halted_) {
         if (!f.stop)
             panic("microword %s (upc=%u) halted without a declared "
-                  "stop edge", w.ann.name, at);
+                  "stop edge", ann.name, at);
         return;
     }
     if (pendingEnd_) {
         if (!f.end)
             panic("microword %s (upc=%u) ended the instruction without "
-                  "a declared end edge", w.ann.name, at);
+                  "a declared end edge", ann.name, at);
         return;
     }
     if (seqSet_) {
         if (!cs_.flowAllows(upc_, nextUpc_))
             panic("microword %s (upc=%u) jumped to undeclared "
-                  "successor %u", w.ann.name, at,
+                  "successor %u", ann.name, at,
                   static_cast<unsigned>(nextUpc_));
         return;
     }
     if (!f.fall)
         panic("microword %s (upc=%u) fell through without a declared "
-              "fall edge", w.ann.name, at);
+              "fall edge", ann.name, at);
 }
 
 // ===================== sequencing services =====================

@@ -154,14 +154,6 @@ class Ebox
      */
     void flushCycleBatch() const;
 
-    /**
-     * Select the legacy type-erased dispatch engine instead of the
-     * decoded table (A/B histogram equivalence runs; see
-     * tests/test_dispatch_equiv.cc).  Purely an engine choice: it must
-     * never change a single simulated cycle.
-     */
-    void setLegacyDispatch(bool on) { legacyDispatch_ = on; }
-
     /** Batch-entry encoding shared with UpcMonitor::applyBatch. */
     static constexpr uint32_t kCycleStallBit = 1u << 16;
 
@@ -457,7 +449,7 @@ class Ebox
      *  microtraps and uTrapRet re-issues, outlined so the common
      *  straight-line cycle stays short and branch-predictable. */
     void microwordEvent();
-    void checkDeclaredFlow(const MicroWord &w);
+    void checkDeclaredFlow(const UAnnotation &ann);
     UAddr resolveNext();
     UAddr endTarget();
     UAddr handlerFor(TrapKind kind) const;
@@ -509,7 +501,6 @@ class Ebox
     /** Cached opcodeTable().data(): skips the function-local-static
      *  guard check on the per-instruction decode path. */
     const OpcodeInfo *optab_;
-    bool legacyDispatch_ = false;
     bool batchOn_ = false;
     static constexpr uint32_t kBatchCap = 128;
     mutable uint32_t batchN_ = 0;

@@ -115,7 +115,7 @@ pushValid(std::vector<UAddr> &v, UAddr a)
 void
 ControlStore::resolveFlows()
 {
-    const size_t n = words_.size();
+    const size_t n = anns_.size();
     succ_.assign(n, {});
 
     // The decode dispatch set: everything trySpecDispatch(),
@@ -251,17 +251,17 @@ ControlStore::internName(std::string name)
 }
 
 UAddr
-MicroAssembler::emitWord(const UAnnotation &ann, UFlow flow, USem sem,
+MicroAssembler::emitWord(const UAnnotation &ann, UFlow flow,
                          DecodedWord decoded)
 {
-    if (cs_.words_.size() >= ControlStore::capacity)
+    if (cs_.anns_.size() >= ControlStore::capacity)
         panic("control store exceeds the %u-location histogram board",
               ControlStore::capacity);
-    cs_.words_.push_back(MicroWord{std::move(sem), ann});
+    cs_.anns_.push_back(ann);
     cs_.decoded_.push_back(decoded);
     cs_.flows_.push_back(std::move(flow));
     cs_.resolved_ = false;
-    return static_cast<UAddr>(cs_.words_.size() - 1);
+    return static_cast<UAddr>(cs_.anns_.size() - 1);
 }
 
 ULabel

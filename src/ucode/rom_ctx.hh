@@ -35,9 +35,9 @@ struct RomCtx
     }
 
     // The emit helpers forward the callable's concrete type to
-    // MicroAssembler::emit, which packs its captures into the decoded
-    // dispatch table (type-erasing here would force every word onto
-    // the boxed fallback path).
+    // MicroAssembler::emit, which packs its captures into the operand
+    // arena (a type-erased wrapper here would fail its plain-data
+    // static_assert).
 
     /** Plain compute microword. */
     template <typename F>
