@@ -111,6 +111,22 @@ zeroRunEnd(const uint8_t *p, size_t i, size_t len)
 }
 
 /**
+ * Zero p[i, end), storing only where a byte is not zero already.
+ * Restoring into lazily zeroed memory then leaves untouched pages
+ * untouched: reading one maps the shared zero page, while a store
+ * would give it a private copy.
+ */
+void
+clearDirty(uint8_t *p, size_t i, size_t end)
+{
+    while ((i = zeroRunEnd(p, i, end)) < end) {
+        size_t n = std::min<size_t>(8, end - i);
+        std::memset(p + i, 0, n);
+        i += n;
+    }
+}
+
+/**
  * End of the literal run starting at the nonzero byte z: the start of
  * the first zero gap that is at least 16 bytes long or reaches the
  * end of the image (len if there is none).  *gapEnd receives the
@@ -542,7 +558,7 @@ Deserializer::getBytesRle(void *out, size_t len)
             SNAP_FAIL("section '%s': RLE zero run of %llu overflows "
                       "the %zu-byte image", sectionName_.c_str(),
                       static_cast<unsigned long long>(zeros), len);
-        std::memset(p + i, 0, static_cast<size_t>(zeros));
+        clearDirty(p, i, i + static_cast<size_t>(zeros));
         i += static_cast<size_t>(zeros);
         uint64_t lit = getU64();
         if (lit > len - i)

@@ -16,6 +16,7 @@
 #include "arch/ffloat.hh"
 #include "arch/opcodes.hh"
 #include "arch/specifiers.hh"
+#include "tests/sim_test_util.hh"
 
 namespace vax::test
 {
@@ -30,8 +31,7 @@ TEST_P(OpcodeTableTest, InvariantsHold)
 {
     const OpcodeInfo &info = opcodeInfo(
         static_cast<uint8_t>(GetParam()));
-    if (!info.valid)
-        GTEST_SKIP() << "unimplemented encoding";
+    ASSERT_TRUE(info.valid);
 
     // Branch displacement, if any, is the last operand.
     for (unsigned i = 0; i < info.numOperands; ++i) {
@@ -60,7 +60,8 @@ TEST_P(OpcodeTableTest, InvariantsHold)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOpcodes, OpcodeTableTest,
-                         ::testing::Range(0, 256));
+                         ::testing::ValuesIn(implementedOpcodes()),
+                         opcodeCaseName);
 
 TEST(OpcodeTable, GroupsArePopulated)
 {
