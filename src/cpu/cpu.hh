@@ -83,11 +83,8 @@ class Cpu780
     bool halted() const { return ebox_->halted(); }
     uint64_t cycles() const { return hw_.cycles; }
 
-    /** @{ Attach the UPC monitor (devirtualized, batched fast path)
-     *  or any generic cycle sink (virtual per-cycle calls). */
-    void setCycleSink(CycleSink *sink) { ebox_->setCycleSink(sink); }
+    /** Attach the UPC monitor (null detaches). */
     void setCycleSink(UpcMonitor *mon) { ebox_->setCycleSink(mon); }
-    /** @} */
 
     /** Register the whole machine's statistics under prefix
      *  (hardware counters, CPI, memory subsystem). */

@@ -4,8 +4,8 @@
  *
  * Each machine cycle either executes the microinstruction at the
  * current micro-PC or is a stall (read, write or IB).  Every cycle is
- * reported to the attached CycleSink with its micro-address -- the
- * measurement surface of the UPC histogram monitor.
+ * counted in the attached UPC histogram monitor at its micro-address --
+ * the measurement surface of the paper's technique.
  *
  * Microcode conventions (enforced by the services below):
  *  - IB requests (decodeOpcode / decodeSpec / ibGet) must be the first
@@ -23,13 +23,11 @@
 #define UPC780_CPU_EBOX_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "arch/opcodes.hh"
 #include "arch/specifiers.hh"
 #include "arch/types.hh"
-#include "cpu/cycle_sink.hh"
 #include "support/bitutil.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -133,36 +131,14 @@ class Ebox
          HwCounters &hw);
     ~Ebox();
 
-    /** @{ Attach/detach the per-cycle count consumer.  The UpcMonitor
-     *  overload selects the devirtualized fast path: the EBOX banks
-     *  cycle counts into a small batch and the monitor applies them in
-     *  bulk at instruction boundaries (DESIGN.md §9).  The generic
-     *  overload keeps the virtual CycleSink interface for test sinks. */
-    void setCycleSink(CycleSink *sink);
+    /** Attach the UPC monitor (null detaches).  While it is attached
+     *  and collecting, every cycle increments one of its two banks
+     *  directly (DESIGN.md §9). */
     void setCycleSink(UpcMonitor *mon);
-    /** @} */
 
     /** Called by ~UpcMonitor: a dying monitor must not leave the EBOX
-     *  holding a dangling fast-path pointer. */
+     *  holding dangling bank pointers. */
     void detachMonitor(UpcMonitor *mon);
-
-    /**
-     * Drain the batched cycle counts into the attached monitor.  The
-     * batch can hold counts mid-instruction, so every monitor-side
-     * reader syncs through this before looking at its banks; const
-     * because reading totals is logically non-mutating.
-     */
-    void flushCycleBatch() const;
-
-    /** Batch-entry encoding shared with UpcMonitor::applyBatch. */
-    static constexpr uint32_t kCycleStallBit = 1u << 16;
-
-    /** Optional per-instruction hook, fired at the decode cycle. */
-    void
-    setInstructionHook(std::function<void(VirtAddr, uint8_t)> hook)
-    {
-        instrHook_ = std::move(hook);
-    }
 
     /** Start execution at pc in the given mode (PSL reset). */
     void reset(VirtAddr pc, CpuMode mode = CpuMode::Kernel);
@@ -178,11 +154,10 @@ class Ebox
         cycleSlow();
     }
 
-    /** Re-sample the cached "batch counts, skip trace tests" flag
-     *  (monitor attached and collecting, flow check off, no trace
-     *  channel enabled).  Public because UpcMonitor::start/stop call
-     *  back here when the CSR changes the collecting state. */
-    void refreshBatchOn();
+    /** Re-cache the attached monitor's bank pointers: null unless it
+     *  is collecting.  Public because UpcMonitor::start/stop/restore
+     *  call back here when the CSR changes the collecting state. */
+    void refreshBanks();
 
     bool halted() const { return halted_; }
 
@@ -401,13 +376,13 @@ class Ebox
      * ControlStore::resolveFlows() to have run; words declared
      * flowTrapRet() are exempt (their resume point is a trap frame).
      */
-    void setFlowCheck(bool on);
+    void setFlowCheck(bool on) { flowCheck_ = on; }
 
     /** @{ Checkpoint/restore: the complete execution state -- PSL,
      *  GPRs, processor registers, micro-PC, decode latches, trap and
      *  micro-call stacks, in-flight memory-op bookkeeping.  The attached
-     *  sink and instruction hook are wiring, not state; the restoring
-     *  harness re-attaches them. */
+     *  monitor is wiring, not state; the restoring harness re-attaches
+     *  it. */
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
     /** @} */
@@ -462,22 +437,14 @@ class Ebox
 
     /**
      * Count one cycle at a micro-address.  Runs once per machine
-     * cycle, so it is inline and test-light: batchOn_ pre-folds
-     * "monitor attached + CSR collecting + no flow check + no trace",
-     * leaving one predictable branch and a store on the hot path.
+     * cycle, so it is inline: one predictable test of the cached bank
+     * pointer, then an increment.
      */
     void
     emitCycle(UAddr upc, bool stalled)
     {
-        if (batchOn_) {
-            batch_[batchN_++] = static_cast<uint32_t>(upc) |
-                (stalled ? kCycleStallBit : 0u);
-            if (batchN_ == kBatchCap) [[unlikely]]
-                flushCycleBatch();
-            return;
-        }
-        if (sink_)
-            sink_->count(upc, stalled);
+        if (normalBank_)
+            ++(stalled ? stalledBank_ : normalBank_)[upc];
     }
 
     const ControlStore &cs_;
@@ -487,24 +454,20 @@ class Ebox
     InterruptController &intc_;
     IntervalTimer &timer_;
     HwCounters &hw_;
-    CycleSink *sink_ = nullptr;
-    UpcMonitor *mon_ = nullptr; ///< set iff sink_ is the UPC monitor
-    std::function<void(VirtAddr, uint8_t)> instrHook_;
+    UpcMonitor *mon_ = nullptr;
+    /** @{ mon_'s banks while it collects, else both null. */
+    uint64_t *normalBank_ = nullptr;
+    uint64_t *stalledBank_ = nullptr;
+    /** @} */
 
     /** @{ Decoded-dispatch fast path.  dtab_/dsize_ cache the control
      *  store's flat table (stable: the ROM is fully built before the
-     *  EBOX is constructed).  The batch defers monitor increments to
-     *  instruction boundaries; mutable because a const reader's sync
-     *  (flushCycleBatch) drains it. */
+     *  EBOX is constructed). */
     const DecodedWord *dtab_;
     UAddr dsize_;
     /** Cached opcodeTable().data(): skips the function-local-static
      *  guard check on the per-instruction decode path. */
     const OpcodeInfo *optab_;
-    bool batchOn_ = false;
-    static constexpr uint32_t kBatchCap = 128;
-    mutable uint32_t batchN_ = 0;
-    mutable uint32_t batch_[kBatchCap];
     /** @} */
 
     State state_ = State::Halted;
@@ -579,8 +542,6 @@ Ebox::decodeOpcode()
     TRACE(IDecode, "pc=%08x op=%02x %s mode=%c", lat.instrPc, opc,
           info.mnemonic,
           psl_.cur == CpuMode::Kernel ? 'K' : 'U');
-    if (instrHook_)
-        instrHook_(lat.instrPc, opc);
 
     seqSet_ = true;
     if (info.numSpecifiers > 0) {

@@ -37,8 +37,6 @@ class InstructionBuffer
     }
 
     unsigned avail() const { return count_; }
-    unsigned freeBytes() const { return capacity() - count_; }
-    unsigned pendingSkip() const { return pendingSkip_; }
 
     /** Look at the i-th buffered byte (i < avail()). */
     uint8_t
@@ -77,20 +75,33 @@ class InstructionBuffer
         pendingSkip_ += n - now;
     }
 
-    /** Append a fetched byte (skipped bytes are dropped here). */
-    void
-    push(uint8_t b)
+    /**
+     * Accept bytes offset..3 of a fetched longword (byte 0 in the low
+     * bits): pending skips absorb the first ones, then as many as fit
+     * are appended.
+     *
+     * @return Bytes consumed (skipped plus stored); the fetch address
+     *         advances by this much.
+     */
+    unsigned
+    pushLongword(uint32_t data, unsigned offset)
     {
-        if (pendingSkip_ > 0) {
-            --pendingSkip_;
-            return;
-        }
-        upc_assert(count_ < capacity());
+        upc_assert(offset < 4);
+        unsigned left = 4 - offset;
+        unsigned skipped = pendingSkip_ < left ? pendingSkip_ : left;
+        pendingSkip_ -= skipped;
+        left -= skipped;
+        unsigned room = capacity() - count_;
+        unsigned stored = left < room ? left : room;
+        unsigned first = offset + skipped;
         unsigned idx = head_ + count_;
-        if (idx >= capacity())
-            idx -= capacity();
-        bytes_[idx] = b;
-        ++count_;
+        for (unsigned i = 0; i < stored; ++i) {
+            if (idx >= capacity())
+                idx -= capacity();
+            bytes_[idx++] = static_cast<uint8_t>(data >> (8 * (first + i)));
+        }
+        count_ += stored;
+        return skipped + stored;
     }
 
     /** Room for another fetched byte (skips absorb without room). */

@@ -4,18 +4,6 @@ namespace vax
 {
 
 void
-IFetch::acceptLongword(uint32_t data)
-{
-    unsigned offset = viba_ & 3;
-    for (unsigned i = offset; i < 4; ++i) {
-        if (!ib_.canAccept())
-            break;
-        ib_.push(static_cast<uint8_t>(data >> (8 * i)));
-        ++viba_;
-    }
-}
-
-void
 IFetch::cycleSlow(CpuMode mode)
 {
     // Collect a completed fill first.
@@ -36,38 +24,12 @@ IFetch::cycleSlow(CpuMode mode)
     }
     if (awaitingFill_ || itbMiss_)
         return;
-    if (!ib_.canAccept() && ib_.pendingSkip() == 0)
-        return;
-    if (ib_.freeBytes() == 0 && ib_.pendingSkip() == 0)
+    if (!ib_.canAccept())
         return;
     if (mem_.eboxPortUsed())
         return; // the EBOX had the cache this cycle
 
     issueFetch(mode);
-}
-
-void
-IFetch::issueFetch(CpuMode mode)
-{
-    IbResult res = mem_.ibFetch(viba_ & ~3u, mode);
-    switch (res.status) {
-      case IbStatus::Data:
-        acceptLongword(res.data);
-        break;
-      case IbStatus::Wait:
-        awaitingFill_ = true;
-        break;
-      case IbStatus::TbMiss:
-        itbMiss_ = true;
-        itbMissVa_ = viba_;
-        break;
-      case IbStatus::AccessViolation:
-        // Treated like a TB miss; the fill microcode will discover the
-        // violation when it examines the PTE.
-        itbMiss_ = true;
-        itbMissVa_ = viba_;
-        break;
-    }
 }
 
 void

@@ -40,8 +40,7 @@ class IFetch
             cycleSlow(mode);
             return;
         }
-        if ((!ib_.canAccept() || ib_.freeBytes() == 0) &&
-            ib_.pendingSkip() == 0)
+        if (!ib_.canAccept())
             return;
         if (mem_.eboxPortUsed())
             return; // the EBOX had the cache this cycle
@@ -65,11 +64,31 @@ class IFetch
     /** @} */
 
   private:
-    void acceptLongword(uint32_t data);
+    void
+    acceptLongword(uint32_t data)
+    {
+        viba_ += ib_.pushLongword(data, viba_ & 3);
+    }
     /** Fill collection, redirect settling and miss gating. */
     void cycleSlow(CpuMode mode);
-    /** Issue the aligned-longword fetch and sort its outcome. */
-    void issueFetch(CpuMode mode);
+    /** Issue the aligned-longword fetch and sort its outcome.  Inline:
+     *  with MemSystem::ibFetch's hit path, a cache hit is one
+     *  straight-line path into the IB. */
+    void
+    issueFetch(CpuMode mode)
+    {
+        IbResult res = mem_.ibFetch(viba_ & ~3u, mode);
+        if (res.status == IbStatus::Data) [[likely]] {
+            acceptLongword(res.data);
+        } else if (res.status == IbStatus::Wait) {
+            awaitingFill_ = true;
+        } else {
+            // A TB miss, or an access violation the fill microcode
+            // discovers when it examines the PTE.
+            itbMiss_ = true;
+            itbMissVa_ = viba_;
+        }
+    }
 
     InstructionBuffer &ib_;
     MemSystem &mem_;

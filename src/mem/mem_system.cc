@@ -42,17 +42,6 @@ MemSystem::crossesLongword(VirtAddr va, unsigned bytes)
     return (va & 3) + bytes > 4;
 }
 
-TbResult
-MemSystem::translate(VirtAddr va, bool is_write, CpuMode mode,
-                     bool istream, PhysAddr *pa_out)
-{
-    if (!mapEnable_) {
-        *pa_out = va;
-        return TbResult::Hit;
-    }
-    return tb_.lookup(va, is_write, mode, istream, pa_out);
-}
-
 MemResult
 MemSystem::dataRead(VirtAddr va, unsigned bytes, CpuMode mode)
 {
@@ -192,25 +181,9 @@ MemSystem::addIoWriteHook(PhysAddr lo, PhysAddr hi,
     ioHooks_.push_back({lo, hi, std::move(fn)});
 }
 
-IbResult
-MemSystem::ibFetch(VirtAddr va, CpuMode mode)
+void
+MemSystem::startIbFill(PhysAddr pa)
 {
-    upc_assert((va & 3) == 0);
-
-    if (ibFillActive_ || ibFillQueued_ || ibFillReady_)
-        return {IbStatus::Wait};
-
-    PhysAddr pa;
-    TbResult tr = translate(va, false, mode, true, &pa);
-    if (tr == TbResult::Miss)
-        return {IbStatus::TbMiss};
-    if (tr == TbResult::AccessViolation)
-        return {IbStatus::AccessViolation};
-
-    ++ibFetches_;
-    if (cache_.readRef(pa, true))
-        return {IbStatus::Data, phys_.read(pa, 4)};
-
     ibFillPa_ = pa;
     if (fill_ == FillKind::None) {
         fill_ = FillKind::Ib;
@@ -223,7 +196,6 @@ MemSystem::ibFetch(VirtAddr va, CpuMode mode)
         TRACE(Mem, "ib fill queued behind busy bus pa=%06x",
               static_cast<unsigned>(pa));
     }
-    return {IbStatus::Wait};
 }
 
 uint32_t
@@ -272,28 +244,8 @@ MemSystem::tickSlow()
     if (faults_)
         faults_->tick();
     wb_.tick();
-
-    if (sbi_.tick()) {
-        // Fill transaction completed: install the block, hand data to
-        // the requester.
-        TRACE(Sbi, "%s fill done pa=%06x",
-              fill_ == FillKind::Ebox ? "ebox" : "ib",
-              static_cast<unsigned>(fillPa_));
-        cache_.fill(fillPa_);
-        if (fill_ == FillKind::Ebox) {
-            upc_assert(eboxReadActive_);
-            eboxReadActive_ = false;
-            eboxReadReady_ = true;
-            eboxReadData_ = phys_.read(eboxReadPa_, eboxReadBytes_);
-        } else if (fill_ == FillKind::Ib) {
-            upc_assert(ibFillActive_);
-            ibFillActive_ = false;
-            ibFillReady_ = true;
-            ibFillData_ = phys_.read(ibFillPa_, 4);
-        }
-        fill_ = FillKind::None;
-        maybeStartQueuedFill();
-    }
+    if (sbi_.tick())
+        fillDone();
 
     // Apply a queued write once the buffer frees.
     if (eboxWritePending_ && !wb_.busy()) {
@@ -301,6 +253,28 @@ MemSystem::tickSlow()
         eboxWritePending_ = false;
         eboxWriteDone_ = true;
     }
+}
+
+void
+MemSystem::fillDone()
+{
+    TRACE(Sbi, "%s fill done pa=%06x",
+          fill_ == FillKind::Ebox ? "ebox" : "ib",
+          static_cast<unsigned>(fillPa_));
+    cache_.fill(fillPa_);
+    if (fill_ == FillKind::Ebox) {
+        upc_assert(eboxReadActive_);
+        eboxReadActive_ = false;
+        eboxReadReady_ = true;
+        eboxReadData_ = phys_.read(eboxReadPa_, eboxReadBytes_);
+    } else if (fill_ == FillKind::Ib) {
+        upc_assert(ibFillActive_);
+        ibFillActive_ = false;
+        ibFillReady_ = true;
+        ibFillData_ = phys_.read(ibFillPa_, 4);
+    }
+    fill_ = FillKind::None;
+    maybeStartQueuedFill();
 }
 
 } // namespace vax

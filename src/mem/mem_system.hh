@@ -41,6 +41,7 @@
 #include "mem/sbi.hh"
 #include "mem/tb.hh"
 #include "mem/write_buffer.hh"
+#include "support/logging.hh"
 
 namespace vax
 {
@@ -111,8 +112,29 @@ class MemSystem
     void addIoWriteHook(PhysAddr lo, PhysAddr hi,
                         std::function<void(PhysAddr, uint32_t)> fn);
 
-    /** @{ I-stream fetch (aligned longword at va). */
-    IbResult ibFetch(VirtAddr va, CpuMode mode);
+    /** @{ I-stream fetch (aligned longword at va).  Inline hit path:
+     *  a busy IB port, a TB miss or a cache miss leave early, and a
+     *  cache miss starts its fill out of line. */
+    IbResult
+    ibFetch(VirtAddr va, CpuMode mode)
+    {
+        upc_assert((va & 3) == 0);
+
+        if (ibFillActive_ || ibFillQueued_ || ibFillReady_)
+            return {IbStatus::Wait};
+
+        PhysAddr pa;
+        TbResult tr = translate(va, false, mode, true, &pa);
+        if (tr != TbResult::Hit) [[unlikely]]
+            return {tr == TbResult::Miss ? IbStatus::TbMiss
+                                         : IbStatus::AccessViolation};
+
+        ++ibFetches_;
+        if (cache_.readRef(pa, true)) [[likely]]
+            return {IbStatus::Data, phys_.read(pa, 4)};
+        startIbFill(pa);
+        return {IbStatus::Wait};
+    }
     bool ibFillDone() const { return ibFillReady_; }
     uint32_t takeIbFillData();
     /** @} */
@@ -122,15 +144,20 @@ class MemSystem
                    PhysAddr *pa_out);
 
     /** Advance all timers one cycle; completes fills and writes.
-     *  Inline because it runs every machine cycle: on an idle memory
-     *  cycle (no injector, nothing draining, no bus transaction, no
-     *  queued write) only the port-used flag needs resetting. */
+     *  Inline because it runs every machine cycle: the write-buffer
+     *  and bus countdowns are a decrement each, and only a completing
+     *  fill, a queued write or an attached injector go out of line. */
     void
     tick()
     {
         eboxPortUsed_ = false;
-        if (faults_ || wb_.busy() || sbi_.busy() || eboxWritePending_)
+        if (faults_ || eboxWritePending_) [[unlikely]] {
             tickSlow();
+            return;
+        }
+        wb_.tick();
+        if (sbi_.tick()) [[unlikely]]
+            fillDone();
     }
 
     /** True if the EBOX used the cache port this cycle. */
@@ -191,12 +218,27 @@ class MemSystem
     /** Check containment of a scalar access in one aligned longword. */
     static bool crossesLongword(VirtAddr va, unsigned bytes);
 
-    /** The non-idle remainder of tick(): injector and drain timers,
-     *  fill completion, queued-write drain. */
+    /** tick() with an injector attached or a write queued behind the
+     *  buffer: injector and drain timers, fill completion, queued-write
+     *  drain. */
     void tickSlow();
+    /** A fill transaction ended: install the block, hand the data to
+     *  the requester, start any queued fill. */
+    void fillDone();
 
-    TbResult translate(VirtAddr va, bool is_write, CpuMode mode,
-                       bool istream, PhysAddr *pa_out);
+    TbResult
+    translate(VirtAddr va, bool is_write, CpuMode mode, bool istream,
+              PhysAddr *pa_out)
+    {
+        if (!mapEnable_) {
+            *pa_out = va;
+            return TbResult::Hit;
+        }
+        return tb_.lookup(va, is_write, mode, istream, pa_out);
+    }
+
+    /** Start (or queue behind a busy bus) an IB fill of pa. */
+    void startIbFill(PhysAddr pa);
     void startOrQueueEboxFill(PhysAddr pa, unsigned bytes);
     void maybeStartQueuedFill();
     void applyWrite(PhysAddr pa, uint32_t data, unsigned bytes);

@@ -45,25 +45,10 @@ TranslationBuffer::TranslationBuffer(const MemConfig &cfg)
     upc_assert(isPowerOf2(cfg.tbSystemEntries));
 }
 
-uint32_t
-TranslationBuffer::keyOf(VirtAddr va)
-{
-    return (static_cast<uint32_t>(vaRegion(va)) << 21) | vaVpn(va);
-}
-
-TranslationBuffer::Entry *
-TranslationBuffer::entryFor(VirtAddr va)
-{
-    uint32_t vpn = vaVpn(va);
-    if (vaRegion(va) == VaRegion::S0)
-        return &system_[vpn & (system_.size() - 1)];
-    return &process_[vpn & (process_.size() - 1)];
-}
-
 TbResult
-TranslationBuffer::lookup(VirtAddr va, bool is_write, CpuMode mode,
-                          bool istream, PhysAddr *pa_out,
-                          bool count_stats)
+TranslationBuffer::lookupSlow(VirtAddr va, bool is_write, CpuMode mode,
+                              bool istream, PhysAddr *pa_out,
+                              bool count_stats)
 {
     if (count_stats) {
         if (istream)
@@ -98,15 +83,7 @@ TranslationBuffer::lookup(VirtAddr va, bool is_write, CpuMode mode,
         return TbResult::Miss;
     }
 
-    if (mode != CpuMode::Kernel) {
-        bool allowed = is_write ? pte::userWrite(e->pte)
-                                : pte::userRead(e->pte);
-        if (!allowed)
-            return TbResult::AccessViolation;
-    }
-
-    *pa_out = (pte::pfn(e->pte) << pageShift) | vaOffset(va);
-    return TbResult::Hit;
+    return resolve(*e, va, is_write, mode, pa_out);
 }
 
 void

@@ -85,9 +85,27 @@ class TranslationBuffer
      * @param mode    Current processor mode.
      * @param istream True for I-stream lookups (stats only).
      * @param pa_out  Receives the physical address on a hit.
+     *
+     * Inline hit path: it runs for every I-stream fetch and D-stream
+     * reference.  Misses and an attached fault injector go out of
+     * line.
      */
-    TbResult lookup(VirtAddr va, bool is_write, CpuMode mode, bool istream,
-                    PhysAddr *pa_out, bool count_stats = true);
+    TbResult
+    lookup(VirtAddr va, bool is_write, CpuMode mode, bool istream,
+           PhysAddr *pa_out, bool count_stats = true)
+    {
+        const Entry *e = entryFor(va);
+        if (!e->valid || e->key != keyOf(va) || faults_) [[unlikely]]
+            return lookupSlow(va, is_write, mode, istream, pa_out,
+                              count_stats);
+        if (count_stats) {
+            if (istream)
+                ++stats_.lookupsI;
+            else
+                ++stats_.lookupsD;
+        }
+        return resolve(*e, va, is_write, mode, pa_out);
+    }
 
     /** Install a translation (called by the TB-miss microcode). */
     void insert(VirtAddr va, uint32_t pte_value);
@@ -122,8 +140,39 @@ class TranslationBuffer
         uint32_t pte = 0;
     };
 
-    Entry *entryFor(VirtAddr va);
-    static uint32_t keyOf(VirtAddr va);
+    Entry *
+    entryFor(VirtAddr va)
+    {
+        uint32_t vpn = vaVpn(va);
+        if (vaRegion(va) == VaRegion::S0)
+            return &system_[vpn & (system_.size() - 1)];
+        return &process_[vpn & (process_.size() - 1)];
+    }
+
+    static uint32_t
+    keyOf(VirtAddr va)
+    {
+        return (static_cast<uint32_t>(vaRegion(va)) << 21) | vaVpn(va);
+    }
+
+    /** Protection check and physical address of a matching entry. */
+    static TbResult
+    resolve(const Entry &e, VirtAddr va, bool is_write, CpuMode mode,
+            PhysAddr *pa_out)
+    {
+        if (mode != CpuMode::Kernel) {
+            bool allowed = is_write ? pte::userWrite(e.pte)
+                                    : pte::userRead(e.pte);
+            if (!allowed)
+                return TbResult::AccessViolation;
+        }
+        *pa_out = (pte::pfn(e.pte) << pageShift) | vaOffset(va);
+        return TbResult::Hit;
+    }
+
+    /** lookup() on a miss or with a fault injector attached. */
+    TbResult lookupSlow(VirtAddr va, bool is_write, CpuMode mode,
+                        bool istream, PhysAddr *pa_out, bool count_stats);
 
     std::vector<Entry> process_;
     std::vector<Entry> system_;

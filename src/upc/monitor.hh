@@ -4,8 +4,8 @@
  *
  * A 16K-bucket histogram board with two count banks: one for normal
  * cycles and one for stalled cycles, indexed by the control-store
- * address driving the machine each cycle.  Completely passive: it
- * observes the micro-PC stream through the CycleSink interface and
+ * address driving the machine each cycle.  Completely passive: the
+ * EBOX increments one bucket per cycle and nothing else, so the board
  * never perturbs execution.
  *
  * As on the real machine, the board is a Unibus device: collection is
@@ -21,13 +21,12 @@
 #include <string>
 #include <vector>
 
-#include "cpu/cycle_sink.hh"
-#include "cpu/ebox.hh"
-#include "support/logging.hh"
 #include "ucode/control_store.hh"
 
 namespace vax
 {
+
+class Ebox;
 
 namespace stats
 {
@@ -71,7 +70,8 @@ struct Histogram
     void regStats(stats::Registry &r, const std::string &prefix) const;
 
     /** @{ Checkpoint/restore.  Banks are mostly zeros for short
-     *  runs, so they are stored run-length encoded. */
+     *  runs, so they are stored run-length encoded.  restore() copies
+     *  into the existing banks, so pointers into them stay valid. */
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
     /** @} */
@@ -87,7 +87,7 @@ struct Histogram
 Histogram weightedComposite(const std::vector<const Histogram *> &parts,
                             const std::vector<uint64_t> &weights = {});
 
-class UpcMonitor : public CycleSink
+class UpcMonitor
 {
   public:
     /** CSR command values (written to the device register). */
@@ -95,24 +95,25 @@ class UpcMonitor : public CycleSink
     static constexpr uint32_t cmdStart = 1;
     static constexpr uint32_t cmdClear = 2;
 
-    ~UpcMonitor() override;
+    UpcMonitor() = default;
+    /** The attached EBOX caches pointers into the banks, so a board
+     *  is never copied. */
+    UpcMonitor(const UpcMonitor &) = delete;
+    UpcMonitor &operator=(const UpcMonitor &) = delete;
+    ~UpcMonitor();
 
-    void count(UAddr upc, bool stalled) override;
+    /** Count one cycle if collecting: what the EBOX does through its
+     *  cached bank pointers, for driving the board directly. */
+    void count(UAddr upc, bool stalled);
 
-    /** @{ EBOX fast-path wiring.  Ebox::setCycleSink(UpcMonitor *)
-     *  attaches the back pointer; the EBOX then banks cycle counts in
-     *  a batch and delivers them through applyBatch() at instruction
-     *  boundaries instead of one virtual call per cycle.  Every
-     *  reader syncs first, so the batching is unobservable. */
-    void
-    attachEbox(Ebox *e)
-    {
-        if (ebox_ && ebox_ != e)
-            ebox_->detachMonitor(this);
-        ebox_ = e;
-    }
+    /** @{ EBOX wiring.  Ebox::setCycleSink attaches the back pointer;
+     *  while the board collects, the EBOX increments normalBank() and
+     *  stalledBank() itself.  The banks never reallocate (restore
+     *  copies into them), and every CSR change calls the EBOX back to
+     *  re-cache the pointers. */
+    void attachEbox(Ebox *e);
 
-    /** Called by ~Ebox so the monitor never syncs a dead engine. */
+    /** Called by ~Ebox so the monitor never calls back a dead engine. */
     void
     detachEbox(const Ebox *e)
     {
@@ -120,80 +121,30 @@ class UpcMonitor : public CycleSink
             ebox_ = nullptr;
     }
 
-    /** Apply batched cycle records (upc | Ebox::kCycleStallBit each).
-     *  Records were taken while the CSR said collect, so they are
-     *  applied unconditionally. */
-    void
-    applyBatch(const uint32_t *recs, uint32_t n)
-    {
-        for (uint32_t i = 0; i < n; ++i) {
-            uint32_t rec = recs[i];
-            UAddr a = static_cast<UAddr>(rec & 0xFFFF);
-            upc_assert(a < ControlStore::capacity);
-            if (rec & Ebox::kCycleStallBit)
-                ++hist_.stalled[a];
-            else
-                ++hist_.normal[a];
-        }
-    }
-
-    /** Drain any batch the EBOX is holding into the banks. */
-    void
-    sync() const
-    {
-        if (ebox_)
-            ebox_->flushCycleBatch();
-    }
+    uint64_t *normalBank() { return hist_.normal.data(); }
+    uint64_t *stalledBank() { return hist_.stalled.data(); }
     /** @} */
 
     /** @{ Unibus command interface. */
-    void
-    start()
-    {
-        sync();
-        collecting_ = true;
-        if (ebox_)
-            ebox_->refreshBatchOn();
-    }
-    void
-    stop()
-    {
-        sync();
-        collecting_ = false;
-        if (ebox_)
-            ebox_->refreshBatchOn();
-    }
+    void start();
+    void stop();
     void clear();
     bool collecting() const { return collecting_; }
     /** CSR write decode (for the device-window hook). */
     void unibusWrite(uint32_t value);
     /** @} */
 
-    const Histogram &
-    histogram() const
+    const Histogram &histogram() const { return hist_; }
+
+    /** Register the board's histogram totals under prefix. */
+    void
+    regStats(stats::Registry &r, const std::string &prefix) const
     {
-        sync();
-        return hist_;
+        hist_.regStats(r, prefix);
     }
 
-    /** Register the board's histogram totals under prefix.  The
-     *  registered readers sync before totalling, so dumps taken while
-     *  a batch is in flight are exact. */
-    void regStats(stats::Registry &r, const std::string &prefix) const;
-
-    uint64_t
-    normalCount(UAddr a) const
-    {
-        sync();
-        return hist_.normal[a];
-    }
-
-    uint64_t
-    stalledCount(UAddr a) const
-    {
-        sync();
-        return hist_.stalled[a];
-    }
+    uint64_t normalCount(UAddr a) const { return hist_.normal[a]; }
+    uint64_t stalledCount(UAddr a) const { return hist_.stalled[a]; }
 
     /** @{ Checkpoint/restore: both banks and the collecting flag. */
     void save(snap::Serializer &s) const;
@@ -201,6 +152,9 @@ class UpcMonitor : public CycleSink
     /** @} */
 
   private:
+    /** Re-cache the attached EBOX's bank pointers. */
+    void notifyEbox();
+
     Histogram hist_;
     bool collecting_ = true;
     Ebox *ebox_ = nullptr;

@@ -1,12 +1,15 @@
 /**
  * @file
  * End-to-end smoke tests of the CPU: small assembled programs run to
- * HALT and architectural state is checked.
+ * HALT and architectural state is checked; the IB's longword intake
+ * against its byte-wise definition.
  */
 
 #include <gtest/gtest.h>
 
+#include "support/snapshot.hh"
 #include "tests/sim_test_util.hh"
+#include "upc/analyzer.hh"
 
 namespace vax::test
 {
@@ -173,6 +176,137 @@ TEST(CpuBasic, MonitorCountsInstructions)
         m.cpu->controlStore().entries.iid);
     EXPECT_EQ(iid, 11u); // 10 moves + HALT
     EXPECT_EQ(m.cpu->hw().instructions, 11u);
+}
+
+TEST(CpuBasic, HistogramInstructionsMatchDecodeCount)
+{
+    // The analyzer counts instructions from the histogram alone; the
+    // EBOX counts them at decode.  A branchy loop must agree exactly.
+    BareMachine m;
+    auto &a = m.asmblr;
+    a.instr(op::MOVL, {Op::imm(200), Op::reg(R3)});
+    a.bind(a.sym("l"));
+    a.instr(op::ADDL2, {Op::lit(1), Op::reg(R1)});
+    a.instr(op::SOBGTR, {Op::reg(R3), Op::branch(a.sym("l"))});
+    a.instr(op::HALT);
+    ASSERT_TRUE(m.run());
+    HistogramAnalyzer an(m.cpu->controlStore(), m.monitor.histogram());
+    EXPECT_EQ(m.cpu->hw().instructions, 402u); // MOVL, 200 x 2, HALT
+    EXPECT_EQ(an.instructions(), m.cpu->hw().instructions);
+}
+
+namespace
+{
+
+/** The IB ring as plain fields, with the byte-wise intake that
+ *  pushLongword replaces: canAccept() then push() per byte. */
+struct ByteRing
+{
+    std::vector<uint8_t> bytes;
+    unsigned head = 0;
+    unsigned count = 0;
+    unsigned skip = 0;
+
+    bool
+    canAccept() const
+    {
+        return skip > 0 || count < bytes.size();
+    }
+
+    void
+    push(uint8_t b)
+    {
+        if (skip > 0) {
+            --skip;
+            return;
+        }
+        bytes[(head + count) % bytes.size()] = b;
+        ++count;
+    }
+
+    unsigned
+    pushLongword(uint32_t data, unsigned offset)
+    {
+        unsigned n = 0;
+        for (unsigned i = offset; i < 4; ++i) {
+            if (!canAccept())
+                break;
+            push(static_cast<uint8_t>(data >> (8 * i)));
+            ++n;
+        }
+        return n;
+    }
+
+    /** The ring in InstructionBuffer's checkpoint layout. */
+    std::vector<uint8_t>
+    image() const
+    {
+        snap::Serializer s;
+        s.beginSection("ib");
+        s.putU32(static_cast<uint32_t>(bytes.size()));
+        s.putU32(head);
+        s.putU32(count);
+        s.putU32(skip);
+        s.putBytes(bytes.data(), bytes.size());
+        s.endSection();
+        return s.finish();
+    }
+};
+
+std::vector<uint8_t>
+ibImage(const InstructionBuffer &ib)
+{
+    snap::Serializer s;
+    s.beginSection("ib");
+    ib.save(s);
+    s.endSection();
+    return s.finish();
+}
+
+} // anonymous namespace
+
+TEST(InstructionBuffer, PushLongwordMatchesBytewiseIntake)
+{
+    // Every ring state (head, count, pending skip, including states
+    // only a checkpoint can produce) and every fetch offset.
+    const uint32_t data = 0x44332211;
+    unsigned cases = 0;
+    for (unsigned cap : {4u, 8u, 16u}) {
+        for (unsigned head = 0; head < cap; ++head) {
+            for (unsigned count = 0; count <= cap; ++count) {
+                for (unsigned skip = 0; skip <= 6; ++skip) {
+                    for (unsigned offset = 0; offset < 4; ++offset) {
+                        ByteRing ref;
+                        ref.bytes.resize(cap);
+                        for (unsigned i = 0; i < cap; ++i)
+                            ref.bytes[i] = static_cast<uint8_t>(0xA0 + i);
+                        ref.head = head;
+                        ref.count = count;
+                        ref.skip = skip;
+
+                        InstructionBuffer ib(cap);
+                        snap::Deserializer d(ref.image());
+                        d.beginSection("ib");
+                        ib.restore(d);
+                        d.endSection();
+
+                        unsigned want = ref.pushLongword(data, offset);
+                        unsigned got = ib.pushLongword(data, offset);
+                        ASSERT_EQ(got, want)
+                            << "cap " << cap << " head " << head
+                            << " count " << count << " skip " << skip
+                            << " offset " << offset;
+                        ASSERT_EQ(ibImage(ib), ref.image())
+                            << "cap " << cap << " head " << head
+                            << " count " << count << " skip " << skip
+                            << " offset " << offset;
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, (4 * 5 + 8 * 9 + 16 * 17) * 7 * 4u);
 }
 
 } // namespace vax::test

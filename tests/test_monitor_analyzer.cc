@@ -1,13 +1,18 @@
 /**
  * @file
  * UPC monitor and analyzer unit tests: the Unibus command interface,
- * histogram accumulation, and analyzer classification rules on
+ * histogram accumulation, the monitor's attach/detach/restore
+ * lifecycle under a running EBOX, and analyzer classification rules on
  * synthetic histograms.
  */
+
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "cpu/cpu.hh"
+#include "support/snapshot.hh"
+#include "tests/sim_test_util.hh"
 #include "upc/analyzer.hh"
 #include "upc/monitor.hh"
 
@@ -53,6 +58,99 @@ TEST(Monitor, HistogramAccumulation)
     EXPECT_EQ(a.stalled[3], 2u);
     EXPECT_EQ(a.normal[9], 5u);
     EXPECT_EQ(a.cycles(), 15u);
+}
+
+namespace
+{
+
+/** A machine spinning in a loop far longer than any test runs it;
+ *  m.run(cycles) starts it under m.monitor. */
+void
+assembleSpin(BareMachine &m)
+{
+    auto &a = m.asmblr;
+    a.instr(op::MOVL, {Operand::imm(1'000'000), Operand::reg(R3)});
+    a.bind(a.sym("l"));
+    a.instr(op::ADDL2, {Operand::lit(1), Operand::reg(R1)});
+    a.instr(op::SOBGTR, {Operand::reg(R3), Operand::branch(a.sym("l"))});
+    a.instr(op::HALT);
+}
+
+std::vector<uint8_t>
+monitorImage(const UpcMonitor &mon)
+{
+    snap::Serializer s;
+    mon.save(s);
+    return s.finish();
+}
+
+} // anonymous namespace
+
+TEST(MonitorLifecycle, SwapFreezesTheFirstBoard)
+{
+    BareMachine m;
+    assembleSpin(m);
+    ASSERT_FALSE(m.run(2000));
+    EXPECT_EQ(m.monitor.histogram().cycles(), 2000u);
+    Histogram frozen = m.monitor.histogram();
+
+    UpcMonitor second;
+    m.cpu->setCycleSink(&second);
+    ASSERT_FALSE(m.cpu->run(3000));
+    EXPECT_EQ(m.monitor.histogram().normal, frozen.normal);
+    EXPECT_EQ(m.monitor.histogram().stalled, frozen.stalled);
+    EXPECT_EQ(second.histogram().cycles(), 3000u);
+}
+
+TEST(MonitorLifecycle, DetachStopsCounting)
+{
+    BareMachine m;
+    assembleSpin(m);
+    ASSERT_FALSE(m.run(1000));
+    m.cpu->setCycleSink(nullptr);
+    ASSERT_FALSE(m.cpu->run(1000));
+    EXPECT_EQ(m.cpu->cycles(), 2000u);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 1000u);
+}
+
+TEST(MonitorLifecycle, MonitorDiesBeforeTheCpu)
+{
+    BareMachine m;
+    assembleSpin(m);
+    auto mon = std::make_unique<UpcMonitor>();
+    m.cpu->setCycleSink(mon.get());
+    ASSERT_FALSE(m.run(1000));
+    EXPECT_EQ(mon->histogram().cycles(), 1000u);
+    mon.reset();
+    // The EBOX dropped its bank pointers with the board.
+    ASSERT_FALSE(m.cpu->run(1000));
+    EXPECT_EQ(m.cpu->cycles(), 2000u);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 0u);
+}
+
+TEST(MonitorLifecycle, CountingContinuesIntoRestoredBanks)
+{
+    BareMachine m;
+    assembleSpin(m);
+    ASSERT_FALSE(m.run(1000));
+    std::vector<uint8_t> image = monitorImage(m.monitor);
+    ASSERT_FALSE(m.cpu->run(1000));
+
+    snap::Deserializer d(image);
+    m.monitor.restore(d);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 1000u);
+    ASSERT_FALSE(m.cpu->run(500));
+    EXPECT_EQ(m.monitor.histogram().cycles(), 1500u);
+
+    // A board saved while stopped comes back stopped.
+    m.monitor.stop();
+    image = monitorImage(m.monitor);
+    m.monitor.start();
+    snap::Deserializer stopped(image);
+    m.monitor.restore(stopped);
+    EXPECT_FALSE(m.monitor.collecting());
+    ASSERT_FALSE(m.cpu->run(500));
+    EXPECT_EQ(m.monitor.histogram().cycles(), 1500u);
 }
 
 class AnalyzerSyntheticTest : public ::testing::Test

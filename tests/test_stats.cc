@@ -275,6 +275,65 @@ TEST(TraceChannels, MachineEmitsCacheLines)
         EXPECT_NE(line.find(":cache: "), std::string::npos) << line;
 }
 
+TEST(TraceChannels, IDecodeLinePerInstruction)
+{
+    ScopedTraceMask restore;
+    trace::disableAll();
+    trace::BufferSink buf;
+    {
+        trace::ScopedSink scoped(&buf);
+        trace::enableList("idecode");
+        BareMachine m;
+        auto &a = m.asmblr;
+        for (int i = 0; i < 12; ++i)
+            a.instr(op::INCL, {Operand::reg(R1)});
+        a.instr(op::HALT);
+        ASSERT_TRUE(m.run());
+    }
+    std::vector<std::string> lines;
+    std::istringstream in(buf.text());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 13u);
+    // INCL R1 is two bytes, so decode PCs step by two from the base.
+    for (unsigned i = 0; i < lines.size(); ++i) {
+        size_t at = lines[i].find(":idecode: pc=");
+        ASSERT_NE(at, std::string::npos) << lines[i];
+        EXPECT_EQ(std::stoul(lines[i].substr(at + 13, 8), nullptr, 16),
+                  0x1000u + 2 * i) << lines[i];
+    }
+    EXPECT_NE(lines.back().find("HALT mode=K"), std::string::npos);
+}
+
+TEST(TraceChannels, TracingLeavesTheHistogramUnchanged)
+{
+    // The EBOX counts straight into the monitor's banks whether or
+    // not a channel is on.
+    auto runLoop = [](const char *channels) {
+        ScopedTraceMask restore;
+        trace::disableAll();
+        trace::BufferSink buf;
+        trace::ScopedSink scoped(&buf);
+        if (channels)
+            trace::enableList(channels);
+        BareMachine m;
+        auto &a = m.asmblr;
+        a.instr(op::MOVL, {Operand::imm(40), Operand::reg(R3)});
+        a.bind(a.sym("l"));
+        a.instr(op::ADDL2, {Operand::regDef(R4), Operand::reg(R1)});
+        a.instr(op::SOBGTR, {Operand::reg(R3), Operand::branch(a.sym("l"))});
+        a.instr(op::HALT);
+        m.cpu->ebox().setGpr(R4, 0x8000);
+        EXPECT_TRUE(m.run());
+        EXPECT_EQ(m.monitor.histogram().cycles(), m.cpu->cycles());
+        return m.monitor.histogram();
+    };
+    Histogram quiet = runLoop(nullptr);
+    Histogram traced = runLoop("all");
+    EXPECT_EQ(quiet.normal, traced.normal);
+    EXPECT_EQ(quiet.stalled, traced.stalled);
+}
+
 TEST(TraceChannels, ParseTraceFlagStripsArgv)
 {
     ScopedTraceMask restore;

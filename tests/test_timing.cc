@@ -20,7 +20,7 @@ namespace
 
 /** Cycles to run an image to HALT (no monitor required). */
 uint64_t
-cyclesToHalt(Assembler &a, Cpu780 &cpu, CycleSink *sink = nullptr)
+cyclesToHalt(Assembler &a, Cpu780 &cpu, UpcMonitor *sink = nullptr)
 {
     auto image = a.finish();
     cpu.mem().setMapEnable(false);
